@@ -7,6 +7,8 @@ affine label lambda_0 = k - sum(labels) is implicit and must be >= 0.
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 @dataclass(frozen=True, order=True)
 class AffineWeight:
@@ -109,6 +111,33 @@ def enumerate_weights(n, k):
 
     fill((), k, n - 1)
     return out
+
+
+def simple_current_table(ext):
+    """Positions of J^a(w) in a lexicographic weight list, for a = 0..n-1.
+
+    `ext` holds one row of extended labels (lambda_0, ..., lambda_{n-1}) per
+    weight, in `enumerate_weights` order.  J^a rolls a row by a places, the
+    rotation of `AffineWeight.simple_current`; the rolled rows are ranked by
+    a lexicographic `searchsorted` against the unrolled ones.  Entry [a, i]
+    of the (n, len(ext)) result is the position of J^a of weight i.
+    """
+    n = ext.shape[1]
+    keys = _lex_keys(ext[:, 1:])
+    return np.stack(
+        [np.searchsorted(keys, _lex_keys(np.roll(ext, a, axis=1)[:, 1:])) for a in range(n)]
+    )
+
+
+def _lex_keys(rows):
+    """One opaque key per row, ordered as the rows are lexicographically.
+
+    Big-endian unsigned bytes compare as the integers they encode, so the
+    raw bytes of a row sort like the row itself, with no overflow for any
+    rank or level.
+    """
+    rows = np.ascontiguousarray(rows, dtype=">u8")
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
 
 
 def weight_count(n, k):

@@ -1,8 +1,12 @@
+from math import comb
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from holonet.modular import (
+    ModularDatum,
     NumericalIntegrityError,
     SectorVector,
     central_charge,
@@ -201,3 +205,99 @@ def test_sector_vector_arithmetic(wzw_data):
         SectorVector(datum, {AffineWeight(2, 10, (0,)): -1})
     with pytest.raises(KeyError):
         SectorVector(datum, {AffineWeight(2, 3, (0,)): 1})
+
+
+# -- the S-matrix from simple-current orbits ---------------------------------
+
+
+def all_pairs_s_matrix(n, k):
+    """Reference: one Kac-Peterson determinant for every pair of labels."""
+    ws = enumerate_weights(n, k)
+    big = len(ws)
+    kappa = k + n
+    part = np.array([w.partition for w in ws], dtype=np.int64)
+    coords = part + np.arange(n - 1, -1, -1, dtype=np.int64)
+    root = np.exp(-2j * np.pi * np.arange(kappa) / kappa)
+    raw = np.empty((big, big), dtype=complex)
+    chunk = max(1, (1 << 21) // (big * n * n))
+    for lo in range(0, big, chunk):
+        block = coords[lo : lo + chunk]
+        prod = (block[:, None, :, None] * coords[None, :, None, :]) % kappa
+        raw[lo : lo + chunk] = np.linalg.det(root[prod])
+    tot = coords.sum(axis=1)
+    mod = n * kappa
+    pre = np.exp(2j * np.pi * np.arange(mod) / mod)
+    raw *= pre[(tot[:, None] * tot[None, :]) % mod]
+    scale = np.sqrt(np.einsum("ij,ij->", raw, raw.conj()).real / big)
+    raw /= scale
+    z = raw[0, 0]
+    raw *= z.conjugate() / abs(z)
+    return raw
+
+
+def levels_up_to(n, max_labels):
+    k = 1
+    while comb(n - 1 + k, n - 1) <= max_labels:
+        yield k
+        k += 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_orbit_s_matrix_matches_all_pairs_reference(n):
+    for k in levels_up_to(n, 500):
+        resid = np.abs(s_matrix(n, k) - all_pairs_s_matrix(n, k)).max()
+        assert resid <= 1e-13, (n, k, resid)
+
+
+SMALL_THEORIES = [(n, k) for n in range(2, 9) for k in levels_up_to(n, 300)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES))
+def test_simple_current_phase_law(pair):
+    n, k = pair
+    datum = sun_datum(n, k)
+    S = datum.S
+    shifted = [datum.index[w.simple_current()] for w in datum.labels]
+    colors = np.array([w.color for w in datum.labels])
+    phase = np.exp(2j * np.pi * colors / n)
+    assert np.abs(S[shifted] - phase[None, :] * S).max() <= 1e-13
+
+
+def orbit_positions(labels):
+    """(representative index, power a) with J^a rep = label, by AffineWeight."""
+    index = {w: i for i, w in enumerate(labels)}
+    out = {}
+    for w in labels:
+        if index[w] in out:
+            continue
+        for a in range(w.n):
+            out.setdefault(index[w.simple_current(a)], (index[w], a))
+    return [out[i] for i in range(len(labels))]
+
+
+@pytest.mark.parametrize("pair", [(3, 4), (4, 4), (6, 4)])
+def test_wrong_sign_phase_law_is_rejected(pair):
+    n, k = pair
+    good = sun_datum(n, k)
+    colors = np.array([w.color for w in good.labels])
+    bad = good.S.copy()
+    for i, (rep, a) in enumerate(orbit_positions(good.labels)):
+        bad[i] = np.exp(-2j * np.pi * a * colors / n) * good.S[rep]
+    with pytest.raises(NumericalIntegrityError):
+        ModularDatum(good.name, good.labels, good.h, good.c, bad, good.conj_perm)
+
+
+def test_one_determinant_per_pair_of_orbits(monkeypatch):
+    det = np.linalg.det
+    count = 0
+
+    def counting_det(a):
+        nonlocal count
+        count += int(np.prod(np.shape(a)[:-2]))
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    datum = sun_datum.__wrapped__(8, 4)  # uncached build
+    assert datum.size == 330
+    assert count == 43 * 43
