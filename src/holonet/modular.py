@@ -23,6 +23,10 @@ from .weights import enumerate_weights, simple_current_table
 UNITARITY_TOL = 1e-9
 MODULAR_TOL = 1e-8
 FUSION_TOL = 1e-6
+# Fusion vectors kept per datum, least recently used dropped first: enough
+# for every pair the verifier asks of its theories, while a long stream of
+# user queries on a large theory holds memory flat instead of growing with it.
+FUSION_CACHE_SIZE = 1024
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -258,7 +262,8 @@ class ModularDatum:
         """Verlinde coefficients N_{ab}^c for all c, as an integer vector."""
         i, j = self.index[a], self.index[b]
         key = (i, j) if i <= j else (j, i)
-        out = self._fusion_cache.get(key)
+        cache = self._fusion_cache
+        out = cache.pop(key, None)
         if out is None:
             w = self.S[key[0]] * self.S[key[1]] / self.S[0]
             vec = self.S.conj() @ w
@@ -273,7 +278,9 @@ class ModularDatum:
                 raise NumericalIntegrityError(
                     f"{self.name}: negative fusion coefficient for ({a}, {b})"
                 )
-            self._fusion_cache[key] = out
+            if len(cache) >= FUSION_CACHE_SIZE:
+                del cache[next(iter(cache))]
+        cache[key] = out
         return out
 
     def fuse(self, a, b):

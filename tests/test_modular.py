@@ -5,6 +5,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from holonet import modular
 from holonet.modular import (
     ModularDatum,
     NumericalIntegrityError,
@@ -191,6 +192,23 @@ def test_fusion_integrity_error():
     broken.S = datum.S + 0.01
     with pytest.raises(NumericalIntegrityError):
         broken.fusion_coeffs(broken.labels[1], broken.labels[1])
+
+
+def test_fusion_cache_is_bounded_lru(monkeypatch):
+    datum = sun_datum(2, 10)
+    full = {(a, b): datum.fusion_coeffs(a, b) for a in datum.labels for b in datum.labels}
+    capped = type(datum).__new__(type(datum))
+    capped.__dict__.update(datum.__dict__)
+    capped._fusion_cache = {}
+    monkeypatch.setattr(modular, "FUSION_CACHE_SIZE", 4)
+    first = (capped.labels[0], capped.labels[1])
+    for a, b in full:
+        capped.fusion_coeffs(*first)  # kept in use, never evicted
+        assert np.array_equal(capped.fusion_coeffs(a, b), full[(a, b)])
+        assert len(capped._fusion_cache) <= 4
+    assert (0, 1) in capped._fusion_cache
+    last = capped.index[capped.labels[-1]]
+    assert list(capped._fusion_cache)[-1] == (last, last)
 
 
 def test_sector_vector_arithmetic(wzw_data):
