@@ -7,7 +7,7 @@ used elsewhere in the package.
 
 import numpy as np
 
-from holonet import level_one_datum, sun_datum
+from holonet import SectorVector, level_one_datum, sun_datum
 from holonet.weights import AffineWeight
 
 # -- SU(2) at level 10: everything has a closed form to compare against ----
@@ -25,11 +25,11 @@ closed = np.array(
 print("S vs sin closed form:", f"{np.abs(su2.S - closed).max():.2e}")
 
 six = AffineWeight(2, 10, (6,))
-print(f"h((6)) = {six.conformal_weight()}, d((6)) = {su2.quantum_dim(six):.7f}")
+print(f"h((6)) = {six.conformal_weight()}, d((6)) = {su2.dim(six):.7f}")
 print(f"mu = {su2.mu:.6f} = 48 + 24*sqrt(3) = {48 + 24 * np.sqrt(3):.6f}")
 
 one = AffineWeight(2, 10, (1,))
-print(f"(1) x (1) = {su2.fusion(one, one)}")
+print(f"(1) x (1) = {SectorVector(su2, su2.fuse(one, one))}")
 
 # -- SU(10) at level 2: 55 weights, determinant-sized entries --------------
 

@@ -41,13 +41,8 @@ from .modular import (
     NumericalIntegrityError,
     SectorVector,
     central_charge,
-    conformal_weight,
-    fusion,
-    mu_index,
-    quantum_dim,
     s_matrix,
     sun_datum,
-    univalence,
 )
 from .products import ProductTheory, UnsupportedFusionError, tensor_product
 from .reporting import CheckResult, VerificationReport, report_emit
@@ -85,7 +80,6 @@ __all__ = [
     "build_entry",
     "catalog",
     "central_charge",
-    "conformal_weight",
     "coupling_matrix",
     "dual_weight",
     "e6_level_one",
@@ -93,7 +87,6 @@ __all__ = [
     "exp_set",
     "extension_index",
     "find_local_system",
-    "fusion",
     "induced_hom",
     "inclusion_table",
     "is_simple_current",
@@ -102,9 +95,7 @@ __all__ = [
     "mirror_spectrum",
     "monodromy_trivial",
     "mu_after",
-    "mu_index",
     "quadratic_form_consistency",
-    "quantum_dim",
     "reference_spectrum",
     "report_emit",
     "s_matrix",
@@ -114,7 +105,6 @@ __all__ = [
     "sun_datum",
     "tensor_product",
     "transpose_weight",
-    "univalence",
     "vacuum_pairing",
     "verify_all",
     "verify_catalog",

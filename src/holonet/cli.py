@@ -13,11 +13,11 @@ import re
 import sys
 
 from .catalogs import CatalogError, catalog, inclusion_table, verify_catalog
-from .extensions import LocalityError, find_local_system, verify_coupling
+from .extensions import LocalityError, coupling_matrix, find_local_system, verify_coupling
 from .level_one import level_one_datum
 from .level_rank import PairingError, branching_pairs, dual_weight, transpose_weight
 from .modular import sun_datum
-from .products import tensor_product
+from .products import ProductTheory, tensor_product
 from .reporting import report_emit
 from .verifier import verify_all, verify_entry
 from .weights import AffineWeight, weight_from_text
@@ -191,16 +191,15 @@ def _resolve_theory(spec):
 
 def _resolve_label(theory, text):
     parts = text.split(":")
-    factors = getattr(theory, "factors", None)
-    if factors is None:
+    if not isinstance(theory, ProductTheory):
         if len(parts) != 1:
             raise ValueError(f"{text!r}: theory is not a product")
         return _component_label(theory, parts[0])
-    if len(parts) != len(factors):
+    if len(parts) != len(theory.factors):
         raise ValueError(
-            f"{text!r}: expected {len(factors)} ':'-separated components"
+            f"{text!r}: expected {len(theory.factors)} ':'-separated components"
         )
-    return tuple(_component_label(f, p) for f, p in zip(factors, parts))
+    return tuple(_component_label(f, p) for f, p in zip(theory.factors, parts))
 
 
 def _component_label(factor, text):
@@ -292,8 +291,6 @@ def main_coupling(argv=None):
     report = verify_coupling(table, tol=args.tolerance)
     payload = json.loads(report_emit(report, "json", reproducible=True))
     if args.with_z:
-        from .extensions import coupling_matrix
-
         payload["Z"] = coupling_matrix(table).tolist()
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if report.passed else CHECK_FAILED

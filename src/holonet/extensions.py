@@ -25,11 +25,9 @@ class LocalityError(RuntimeError):
 
 def is_simple_current(theory, label):
     """True iff fusion with the conjugate gives exactly the vacuum."""
-    sq = getattr(theory, "dim_sq_of", None)
-    if sq is not None:
-        exact = sq(label)
-        if exact is not None:
-            return exact == 1
+    exact = theory.dim_sq_of(label)
+    if exact is not None:
+        return exact == 1
     return theory.fuse(label, theory.conj(label)) == {theory.vacuum: 1}
 
 

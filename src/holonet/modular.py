@@ -40,11 +40,6 @@ def central_charge(n, k):
     return Fraction(k * (n * n - 1), k + n)
 
 
-def conformal_weight(weight):
-    """Exact conformal weight of an SU(n)_k dominant weight."""
-    return weight.conformal_weight()
-
-
 def _shifted_coordinates(lab):
     """Strictly decreasing coordinates l_i = p_i + (n - i) of lambda + rho.
 
@@ -222,10 +217,6 @@ class ModularDatum:
         return self.labels[0]
 
     @property
-    def has_s(self):
-        return True
-
-    @property
     def mu_exact(self):
         if self.dim_sq is None:
             return None
@@ -288,12 +279,6 @@ class ModularDatum:
         coeffs = self.fusion_coeffs(a, b)
         return {self.labels[i]: int(m) for i, m in enumerate(coeffs) if m}
 
-    def fusion(self, a, b):
-        return SectorVector(self, self.fuse(a, b))
-
-    def quantum_dim(self, label):
-        return self.dim(label)
-
     # -- validation --------------------------------------------------------
 
     def validate(self, tol=UNITARITY_TOL, modular_tol=MODULAR_TOL):
@@ -340,19 +325,3 @@ def sun_datum(n, k):
         S=s_matrix(n, k),
         conj_perm=conj_perm,
     )
-
-
-def quantum_dim(datum, label):
-    return datum.quantum_dim(label)
-
-
-def mu_index(datum):
-    return datum.mu
-
-
-def univalence(datum, label):
-    return datum.univalence(label)
-
-
-def fusion(datum, a, b):
-    return datum.fusion(a, b)

@@ -7,11 +7,10 @@ tensor axis, which keeps the 2640-label products cheap and accurate.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
-
-from .modular import SectorVector
 
 
 class UnsupportedFusionError(KeyError):
@@ -31,10 +30,6 @@ class ProductTheory:
             combo for combo in itertools.product(*(f.labels for f in factors))
         ]
         self.index = {label: i for i, label in enumerate(self.labels)}
-        self._mu_exact = None
-        exact = [f.mu_exact for f in factors]
-        if all(x is not None for x in exact):
-            self._mu_exact = _product(exact)
 
     @property
     def size(self):
@@ -45,23 +40,16 @@ class ProductTheory:
         return tuple(f.vacuum for f in self.factors)
 
     @property
-    def has_s(self):
-        return all(f.has_s for f in self.factors)
-
-    @property
     def mu(self):
         return float(np.prod([f.mu for f in self.factors]))
 
     @property
     def mu_exact(self):
-        return self._mu_exact
+        return _exact([f.mu_exact for f in self.factors], math.prod)
 
     @property
     def c(self):
-        parts = [getattr(f, "c", None) for f in self.factors]
-        if any(p is None for p in parts):
-            return None
-        return sum(parts, Fraction(0))
+        return sum((f.c for f in self.factors), Fraction(0))
 
     def h_mod1(self, label):
         return sum(
@@ -69,26 +57,13 @@ class ProductTheory:
         ) % 1
 
     def h_exact(self, label):
-        parts = []
-        for f, x in zip(self.factors, label):
-            h = getattr(f, "h_exact", None)
-            if h is None:
-                return None
-            parts.append(h(x))
-        return sum(parts, Fraction(0))
+        return _exact([f.h_exact(x) for f, x in zip(self.factors, label)], sum)
 
     def dim(self, label):
         return float(np.prod([f.dim(x) for f, x in zip(self.factors, label)]))
 
     def dim_sq_of(self, label):
-        out = Fraction(1)
-        for f, x in zip(self.factors, label):
-            sq = getattr(f, "dim_sq_of", None)
-            part = sq(x) if sq else None
-            if part is None:
-                return None
-            out *= part
-        return out
+        return _exact([f.dim_sq_of(x) for f, x in zip(self.factors, label)], math.prod)
 
     def conj(self, label):
         return tuple(f.conj(x) for f, x in zip(self.factors, label))
@@ -107,14 +82,11 @@ class ProductTheory:
             out[label] = out.get(label, 0) + m
         return out
 
-    def fusion(self, a, b):
-        return SectorVector(self, self.fuse(a, b))
-
     # -- factorized linear algebra ----------------------------------------
 
     def apply_s(self, vec):
         """Apply the (symmetric) product S-matrix to a vector, factor-wise."""
-        if not self.has_s:
+        if any(f.S is None for f in self.factors):
             raise UnsupportedFusionError(
                 f"{self.name}: a factor has no S-matrix"
             )
@@ -126,7 +98,7 @@ class ProductTheory:
 
     def s_column(self, label):
         """Column of the product S-matrix at `label` (Kronecker of columns)."""
-        if not self.has_s:
+        if any(f.S is None for f in self.factors):
             raise UnsupportedFusionError(
                 f"{self.name}: a factor has no S-matrix"
             )
@@ -142,11 +114,9 @@ class ProductTheory:
         return f"ProductTheory({self.name}, {self.size} labels)"
 
 
-def _product(values):
-    out = values[0]
-    for v in values[1:]:
-        out = out * v
-    return out
+def _exact(parts, combine):
+    """combine(parts), or None where a factor has no exact value."""
+    return None if any(p is None for p in parts) else combine(parts)
 
 
 def tensor_product(*factors, name=None):

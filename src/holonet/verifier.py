@@ -18,6 +18,7 @@ import numpy as np
 from .catalogs import CatalogError, _load_json, catalog
 from .extensions import (
     LocalityError,
+    LocalSystem,
     extension_index,
     find_local_system,
     induced_hom,
@@ -208,7 +209,9 @@ def build_entry(entry):
         spectrum = spectrum + half
         mu = mu / 4
         ledger.append((f"/ 2^2 -> {mu}", mu))
-        systems.append(("stage 2", ["Z2", ("1", "d1")]))
+        # Z2 of intermediate-theory sectors; that theory is never built
+        z2 = ["1", "d1"]
+        systems.append(("stage 2", LocalSystem(None, z2, z2[1:], _cyclic_table(z2), [2])))
         notes.append(
             "stage 2 extends by the order-2 sector supported on the "
             f"orbit of {twisted}; the twin sector gives the same spectrum"
@@ -302,8 +305,7 @@ def verify_entry(entry, tol=S_TOL):
         return report
 
     stage_text = "; ".join(
-        f"{name}: {stage.structure if hasattr(stage, 'structure') else stage[0]}"
-        for name, stage in cons.systems
+        f"{name}: {system.structure}" for name, system in cons.systems
     )
     report.add("local-systems", True, details=stage_text)
 
@@ -356,33 +358,3 @@ def verify_entry(entry, tol=S_TOL):
 
 def verify_all(tol=S_TOL):
     return [verify_entry(e, tol=tol) for e in sorted(ENTRY_CONFIGS)]
-
-
-def alternative_generator_spectrum(entry=27):
-    """Entry 27 with the swapped generator pair; returns both spectra.
-
-    The alternative local system produces the same final list after the
-    outer relabeling (conjugation) of the last level-1 factor.
-    """
-    if int(entry) != 27:
-        raise ValueError("the alternative-generator check is for entry 27")
-    cat = catalog("su9_3")
-    su3 = level_one_datum("su3_1")
-    prod = tensor_product(cat, su3, su3)
-    system = find_local_system(
-        prod, [("j1t0", "y1", "y2"), ("j0t1", "y1", "y1")]
-    )
-    wzw = wzw_base(27)
-    alt = restrict_to_base(prod, simple_current_spectrum(system), wzw)
-    std = build_entry(27).spectrum
-    return std, alt
-
-
-def relabel_last_factor_conjugate(spec):
-    """Apply the outer automorphism of the last factor to a spectrum."""
-    prod = spec.theory
-    last = prod.factors[-1]
-    out = SectorVector(prod)
-    for label, mult in spec.mult.items():
-        out.add(label[:-1] + (last.conj(label[-1]),), mult)
-    return out

@@ -6,6 +6,7 @@ affine label lambda_0 = k - sum(labels) is implicit and must be >= 0.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -142,8 +143,6 @@ def _lex_keys(rows):
 
 def weight_count(n, k):
     """Number of level-k dominant weights of SU(n) (stars and bars)."""
-    from math import comb
-
     return comb(n - 1 + k, n - 1)
 
 
@@ -151,15 +150,3 @@ def weight_from_text(n, k, text):
     """Parse the text form 'a1,a2,...' into an AffineWeight."""
     parts = [s for s in text.strip().split(",") if s != ""]
     return AffineWeight(n, k, tuple(int(s) for s in parts))
-
-
-def simple_current(weight, power=1):
-    return weight.simple_current(power)
-
-
-def conjugate(weight):
-    return weight.conjugate()
-
-
-def color(weight):
-    return weight.color

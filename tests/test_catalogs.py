@@ -8,6 +8,7 @@ from holonet.catalogs import (
     CatalogError,
     catalog,
     data_dir,
+    inclusion_table,
     mirror_mu,
     mirror_spectrum,
     verify_catalog,
@@ -146,7 +147,6 @@ def test_catalog_fusion_refusals(catalogs):
     cat = catalogs["su10_2"]
     with pytest.raises(UnsupportedFusionError):
         cat.fuse("s0", "s1")  # not a stored row
-    assert not cat.has_s
 
 
 def test_unknown_catalog():
@@ -154,7 +154,7 @@ def test_unknown_catalog():
         catalog("su6_6")
 
 
-def test_corrupted_catalog_rejected(tmp_path):
+def test_corrupted_catalog_rejected(tmp_path, monkeypatch):
     import shutil
 
     with open(f"{data_dir()}/su9_3.json") as fh:
@@ -164,9 +164,26 @@ def test_corrupted_catalog_rejected(tmp_path):
     src["irreps"][0]["restriction"][0][0] = [3, 0, 0, 0, 0, 0, 0, 0]
     (tmp_path / "su9_3.json").write_text(json.dumps(src))
     shutil.copy(f"{data_dir()}/inclusions.json", tmp_path / "inclusions.json")
-    catalog.cache_clear()
-    try:
-        with pytest.raises(CatalogError):
-            catalog("su9_3", directory=str(tmp_path))
-    finally:
-        catalog.cache_clear()
+    monkeypatch.setenv("HOLONET_CATALOG_DIR", str(tmp_path))
+    with pytest.raises(CatalogError):
+        catalog("su9_3")
+
+
+def test_catalog_dir_change_after_load(tmp_path, monkeypatch):
+    cat, inc = catalog("su10_2"), inclusion_table("su3_9-e6_1")
+    with open(f"{data_dir()}/su10_2.json") as fh:
+        broken = json.load(fh)
+    broken["mu"] = "10"
+    (tmp_path / "su10_2.json").write_text(json.dumps(broken))
+    with open(f"{data_dir()}/inclusions.json") as fh:
+        inclusions = json.load(fh)
+    del inclusions["su3_9-e6_1"]
+    (tmp_path / "inclusions.json").write_text(json.dumps(inclusions))
+    monkeypatch.setenv("HOLONET_CATALOG_DIR", str(tmp_path))
+    with pytest.raises(CatalogError, match="fails invariants"):
+        catalog("su10_2")
+    with pytest.raises(CatalogError, match="unknown inclusion"):
+        inclusion_table("su3_9-e6_1")
+    monkeypatch.delenv("HOLONET_CATALOG_DIR")
+    assert catalog("su10_2") is cat
+    assert inclusion_table("su3_9-e6_1") is inc

@@ -183,3 +183,20 @@ def test_catalog_dir_override(tmp_path):
     )
     assert proc.returncode == 2
     assert "fails invariants" in proc.stderr
+
+
+def test_untransportable_vacuum_row_exits_2(tmp_path):
+    for fname in os.listdir(data_dir()):
+        shutil.copy(os.path.join(data_dir(), fname), tmp_path / fname)
+    inclusions = json.loads((tmp_path / "inclusions.json").read_text())
+    inclusions["su3_9-e6_1"]["rows"]["1"].pop()  # conjugation symmetry lost
+    (tmp_path / "inclusions.json").write_text(json.dumps(inclusions))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holonet.cli", "catalog", "--name", "su9_3"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, HOLONET_CATALOG_DIR=str(tmp_path)),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "mirror-spectrum" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -176,9 +176,9 @@ def test_univalence_and_quantum_dim(wzw_data):
     datum = wzw_data[(2, 10)]
     vac = datum.vacuum
     assert datum.univalence(vac) == 1
-    assert datum.quantum_dim(vac) == 1
+    assert datum.dim(vac) == 1
     six = AffineWeight(2, 10, (6,))
-    assert abs(datum.quantum_dim(six) - (2 + np.sqrt(3.0))) < 1e-12
+    assert abs(datum.dim(six) - (2 + np.sqrt(3.0))) < 1e-12
     lam3 = AffineWeight(10, 2, (0, 0, 1, 0, 0, 0, 0, 0, 0))
     w10 = wzw_data[(10, 2)]
     assert abs(w10.univalence(lam3) - np.exp(2j * np.pi * 77 / 80)) < 1e-12

@@ -60,13 +60,45 @@ def test_apply_s_three_factors():
 
 def test_catalog_products_refuse_s():
     prod = tensor_product(catalog("su10_2"), su_level_one(5))
-    assert not prod.has_s
     with pytest.raises(UnsupportedFusionError):
         prod.apply_s(np.zeros(prod.size))
     with pytest.raises(UnsupportedFusionError):
         prod.s_column(prod.vacuum)
     assert prod.h_exact(prod.vacuum) is None  # catalogs carry h mod 1 only
     assert prod.mu_exact == 100
+
+
+THEORIES = {
+    "wzw": lambda: sun_datum(2, 3),
+    "level-one": lambda: level_one_datum("su3_1"),
+    "catalog": lambda: catalog("su10_2"),
+    "catalog-x-level-one": lambda: tensor_product(
+        catalog("su10_2"), level_one_datum("su3_1")
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", THEORIES)
+def test_one_theory_interface(kind):
+    theory = THEORIES[kind]()
+    vac = theory.vacuum
+    assert theory.labels[theory.index[vac]] == vac
+    assert theory.c > 0
+    for label in (vac, theory.labels[-1]):
+        assert theory.fuse(vac, label) == {label: 1}
+        assert theory.h_mod1(theory.conj(label)) == theory.h_mod1(label)
+        sq = theory.dim_sq_of(label)
+        assert sq is None or abs(sq - theory.dim(label) ** 2) < 1e-9
+        h = theory.h_exact(label)
+        assert (h is None) == kind.startswith("catalog")
+        assert h is None or h % 1 == theory.h_mod1(label)
+    if kind == "catalog":
+        assert theory.S is None
+    elif isinstance(theory, ProductTheory):
+        with pytest.raises(UnsupportedFusionError):
+            theory.apply_s(np.zeros(theory.size))
+    else:
+        assert theory.S.shape == (len(theory.labels),) * 2
 
 
 def test_wzw_product_mu_not_exact():

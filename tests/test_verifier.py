@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from holonet.catalogs import CatalogError
+from holonet.extensions import find_local_system, simple_current_spectrum
+from holonet.modular import SectorVector
 from holonet.reporting import report_emit
 from holonet.verifier import (
-    alternative_generator_spectrum,
     build_entry,
     perturbation_residuals,
     reference_spectrum,
-    relabel_last_factor_conjugate,
+    restrict_to_base,
     s_invariance_residual,
     verify_all,
     verify_entry,
@@ -142,11 +143,18 @@ def test_reference_spectra_well_formed():
 
 
 def test_alternative_generators_entry27():
-    std, alt = alternative_generator_spectrum(27)
-    assert alt != std
-    assert relabel_last_factor_conjugate(alt) == std
-    with pytest.raises(ValueError):
-        alternative_generator_spectrum(40)
+    # the swapped generator pair gives the same list up to the outer
+    # automorphism (conjugation) of the last level-1 factor
+    std = build_entry(27)
+    prod, wzw = std.catalog_product, wzw_base(27)
+    system = find_local_system(prod, [("j1t0", "y1", "y2"), ("j0t1", "y1", "y1")])
+    alt = restrict_to_base(prod, simple_current_spectrum(system), wzw)
+    assert alt != std.spectrum
+    last = wzw.factors[-1]
+    relabeled = SectorVector(
+        wzw, {label[:-1] + (last.conj(label[-1]),): m for label, m in alt.mult.items()}
+    )
+    assert relabeled == std.spectrum
 
 
 def test_unknown_entry():
