@@ -11,6 +11,7 @@ operations refuse them.
 
 import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, wraps
 from importlib import resources
@@ -47,15 +48,25 @@ def data_dir():
     return str(resources.files("holonet").joinpath("data"))
 
 
-def _load_json(fname):
+@contextmanager
+def _reading(fname):
+    """Yield the parsed JSON of a data file.  Bad data met while the block
+    reads it, a missing key or an out-of-range value, raises CatalogError
+    naming the file and the key or value."""
     path = os.path.join(data_dir(), fname)
     try:
         with open(path) as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError as exc:
         raise CatalogError(f"missing data file {path}") from exc
     except json.JSONDecodeError as exc:
         raise CatalogError(f"malformed data file {path}: {exc}") from exc
+    try:
+        yield payload
+    except KeyError as exc:
+        raise CatalogError(f"data file {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CatalogError(f"bad data file {path}: {exc}") from exc
 
 
 class CatalogIrrep:
@@ -207,7 +218,8 @@ def catalog(name):
         raise CatalogError(
             f"unknown catalog {name!r}; have {sorted(CATALOG_INCLUSIONS)}"
         )
-    cat = _parse_catalog(_load_json(f"{name}.json"))
+    with _reading(f"{name}.json") as payload:
+        cat = _parse_catalog(payload)
     report = verify_catalog(cat)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
@@ -218,19 +230,19 @@ def catalog(name):
 @_cached_per_data_dir
 def inclusion_table(key):
     """A bundled conformal-inclusion branching as a BranchingTable."""
-    payload = _load_json("inclusions.json")
-    if key not in payload:
-        raise CatalogError(f"unknown inclusion {key!r}; have {sorted(payload)}")
-    rec = payload[key]
-    ambient = level_one_datum(rec["ambient"])
-    base = sun_datum(rec["base"]["rank"], rec["base"]["level"])
-    n, k = rec["base"]["rank"], rec["base"]["level"]
-    rows = {}
-    for amb_label, terms in rec["rows"].items():
-        vec = SectorVector(base)
-        for labels, mult in terms:
-            vec.add(AffineWeight(n, k, tuple(labels)), int(mult))
-        rows[amb_label] = vec
+    with _reading("inclusions.json") as payload:
+        if key not in payload:
+            raise CatalogError(f"unknown inclusion {key!r}; have {sorted(payload)}")
+        rec = payload[key]
+        ambient = level_one_datum(rec["ambient"])
+        base = sun_datum(rec["base"]["rank"], rec["base"]["level"])
+        n, k = rec["base"]["rank"], rec["base"]["level"]
+        rows = {}
+        for amb_label, terms in rec["rows"].items():
+            vec = SectorVector(base)
+            for labels, mult in terms:
+                vec.add(AffineWeight(n, k, tuple(labels)), int(mult))
+            rows[amb_label] = vec
     if set(rows) != set(ambient.labels):
         raise CatalogError(f"inclusion {key}: rows do not match ambient labels")
     return BranchingTable(key, ambient, base, rows)

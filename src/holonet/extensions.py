@@ -136,24 +136,23 @@ def find_local_system(theory, generators):
             )
 
     vacuum = theory.vacuum
-    elements = {vacuum}
+    members = {vacuum}
     frontier = [vacuum]
     while frontier:
         x = frontier.pop()
         for g in gens:
             y = current_image(theory, g, x)
-            if y not in elements:
-                if len(elements) >= MAX_GROUP_ORDER:
+            if y not in members:
+                if len(members) >= MAX_GROUP_ORDER:
                     raise LocalityError("closure exceeds the group-order cap")
-                elements.add(y)
+                members.add(y)
                 frontier.append(y)
-    idx = theory.index
-    elements = sorted(elements, key=idx.__getitem__)
+    elements = sorted(members, key=theory.index.__getitem__)
 
     mul = {}
     for a, b in itertools.product(elements, repeat=2):
         c = current_image(theory, a, b)
-        if c not in set(elements):
+        if c not in members:
             raise LocalityError(f"closure not a group: {a!r} x {b!r} escapes")
         mul[(a, b)] = c
         if (theory.h_mod1(c) - theory.h_mod1(a) - theory.h_mod1(b)) % 1 != 0:
@@ -163,7 +162,7 @@ def find_local_system(theory, generators):
     for g in elements:
         if theory.h_mod1(g) != 0:
             raise LocalityError(f"element {g!r} has h = {theory.h_mod1(g)} != 0")
-        if theory.conj(g) not in set(elements):
+        if theory.conj(g) not in members:
             raise LocalityError(f"closure not conjugation-closed at {g!r}")
 
     factors = _invariant_factors(elements, mul, vacuum)

@@ -257,7 +257,7 @@ class ModularDatum:
         out = cache.pop(key, None)
         if out is None:
             w = self.S[key[0]] * self.S[key[1]] / self.S[0]
-            vec = self.S.conj() @ w
+            vec = np.conj(self.S @ np.conj(w))  # S.conj() @ w, S not copied
             out = np.rint(vec.real).astype(int)
             resid = np.abs(vec - out).max()
             if resid >= FUSION_TOL:

@@ -1,9 +1,10 @@
 """Tensor products of theories with a factorized S action.
 
 Labels of a product are tuples of factor labels; h and c add, dimensions
-and fusion multiply componentwise.  The product S-matrix is never
-materialized: contractions act factor by factor along the corresponding
-tensor axis, which keeps the 2640-label products cheap and accurate.
+and fusion multiply componentwise.  The product S-matrix is never built
+whole: `apply_s` contracts factor by factor along the corresponding tensor
+axis, which keeps the 2640-label products cheap and accurate, and
+`s_block` gives the columns of one first-factor label at a time.
 """
 
 import itertools
@@ -84,31 +85,41 @@ class ProductTheory:
 
     # -- factorized linear algebra ----------------------------------------
 
-    def apply_s(self, vec):
-        """Apply the (symmetric) product S-matrix to a vector, factor-wise."""
+    def _require_s(self):
         if any(f.S is None for f in self.factors):
             raise UnsupportedFusionError(
                 f"{self.name}: a factor has no S-matrix"
             )
+
+    def apply_s(self, vec):
+        """Apply the (symmetric) product S-matrix to a vector, factor-wise."""
+        self._require_s()
         cube = np.asarray(vec, dtype=complex).reshape(self.shape)
         for axis, f in enumerate(self.factors):
             cube = np.tensordot(f.S, cube, axes=([1], [axis]))
             cube = np.moveaxis(cube, 0, axis)
         return cube.reshape(-1)
 
+    def s_block(self, a):
+        """The product-S columns whose first component is factor-0 label `a`.
+
+        A size x (size // shape[0]) array, columns in label order.  It is
+        built by broadcast products ((S1 S2) S3)..., left to right, then one
+        transpose: the same products in the same order as np.kron of the
+        factor columns, so the same bits.
+        """
+        self._require_s()
+        first, *rest = self.factors
+        block = first.S[:, first.index[a]]
+        for f in rest:  # axes become (r1, r2, x2, r3, x3, ...)
+            block = block[..., None, None] * f.S
+        order = [0, *range(1, block.ndim, 2), *range(2, block.ndim, 2)]
+        return block.transpose(order).reshape(self.size, -1)
+
     def s_column(self, label):
-        """Column of the product S-matrix at `label` (Kronecker of columns)."""
-        if any(f.S is None for f in self.factors):
-            raise UnsupportedFusionError(
-                f"{self.name}: a factor has no S-matrix"
-            )
-        cols = [
-            f.S[:, f.index[x]] for f, x in zip(self.factors, label)
-        ]
-        out = cols[0]
-        for col in cols[1:]:
-            out = np.kron(out, col)
-        return out
+        """Column of the product S-matrix at `label`, sliced from its block."""
+        block = self.s_block(label[0])
+        return block[:, self.index[label] % block.shape[1]]
 
     def __repr__(self):
         return f"ProductTheory({self.name}, {self.size} labels)"

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalogs import CatalogError, _load_json, catalog
+from .catalogs import CatalogError, _reading, catalog
 from .extensions import (
     LocalityError,
     LocalSystem,
@@ -254,14 +254,14 @@ def _cyclic_table(ordered):
 def reference_spectrum(entry, wzw_product=None):
     """The bundled reference list for an entry, over its WZW base."""
     cfg = _entry_config(entry)
-    payload = _load_json(f"entry{int(entry)}_spectrum.json")
     wzw = wzw_product or wzw_base(entry)
     base = catalog(cfg["catalog"]).base
     n, k = base.labels[0].n, base.labels[0].k
     out = SectorVector(wzw)
-    for term, mult in payload["terms"]:
-        weight = AffineWeight(n, k, tuple(term[0]))
-        out.add((weight,) + tuple(term[1:]), int(mult))
+    with _reading(f"entry{int(entry)}_spectrum.json") as payload:
+        for term, mult in payload["terms"]:
+            weight = AffineWeight(n, k, tuple(term[0]))
+            out.add((weight,) + tuple(term[1:]), int(mult))
     return out
 
 
@@ -276,21 +276,27 @@ def perturbation_residuals(construction):
     """S-invariance residuals after every single +-1 multiplicity change.
 
     Returns the minimum residual over all perturbed vectors; a healthy
-    spectrum keeps this far above the verification tolerance.
+    spectrum keeps this far above the verification tolerance.  Changing
+    the multiplicity of label i moves S v - v by +-(S e_i - e_i), so the
+    residuals are read off the product-S columns, taken one `s_block`
+    (all columns of one first-factor label) at a time.
     """
     prod = construction.wzw_product
     v = construction.spectrum.as_vector()
-    base_residual = prod.apply_s(v) - v
+    base_residual = (prod.apply_s(v) - v)[:, None]
     scale = np.abs(v).max()
     worst = np.inf
-    for i, label in enumerate(prod.labels):
-        column = prod.s_column(label).copy()
-        column[i] -= 1.0
-        up = np.abs(base_residual + column).max() / scale
-        worst = min(worst, up)
-        if v[i] >= 1:
-            down = np.abs(base_residual - column).max() / scale
-            worst = min(worst, down)
+    for a, label in enumerate(prod.factors[0].labels):
+        block = prod.s_block(label)
+        cols = np.arange(block.shape[1])
+        rows = a * len(cols) + cols  # the labels of the block's columns
+        block[rows, cols] -= 1.0
+        up = np.abs(base_residual + block).max(axis=0) / scale
+        worst = min(worst, up.min())
+        held = v[rows] >= 1
+        if held.any():
+            down = np.abs(base_residual - block[:, held]).max(axis=0) / scale
+            worst = min(worst, down.min())
     return float(worst)
 
 

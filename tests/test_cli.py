@@ -200,3 +200,51 @@ def test_untransportable_vacuum_row_exits_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "mirror-spectrum" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _corrupt_copy(tmp_path, fname, corrupt):
+    """Copy the bundled data to tmp_path and apply `corrupt` to one file."""
+    for name in os.listdir(data_dir()):
+        shutil.copy(os.path.join(data_dir(), name), tmp_path / name)
+    payload = json.loads((tmp_path / fname).read_text())
+    corrupt(payload)
+    (tmp_path / fname).write_text(json.dumps(payload))
+    return dict(os.environ, HOLONET_CATALOG_DIR=str(tmp_path))
+
+
+def _cli(env, *args):
+    return subprocess.run(
+        [sys.executable, "-m", "holonet.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_catalog_missing_key_exits_2(tmp_path):
+    env = _corrupt_copy(tmp_path, "su8_4.json", lambda p: p.pop("fusion"))
+    proc = _cli(env, "catalog", "--name", "su8_4")
+    assert proc.returncode == 2, proc.stderr
+    assert "su8_4.json" in proc.stderr and "'fusion'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_reference_spectrum_missing_key_exits_2(tmp_path):
+    env = _corrupt_copy(tmp_path, "entry27_spectrum.json", lambda p: p.pop("terms"))
+    proc = _cli(env, "verify", "--entry", "27")
+    assert proc.returncode == 2, proc.stderr
+    assert "entry27_spectrum.json" in proc.stderr and "'terms'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_inclusion_weight_out_of_range_exits_2(tmp_path):
+    def corrupt(payload):
+        payload["su3_9-e6_1"]["rows"]["1"][0][0] = [99, 0]
+
+    env = _corrupt_copy(tmp_path, "inclusions.json", corrupt)
+    for args in (("catalog", "--name", "su9_3"),
+                 ("coupling", "--inclusion", "su3_9-e6_1")):
+        proc = _cli(env, *args)
+        assert proc.returncode == 2, proc.stderr
+        assert "inclusions.json" in proc.stderr and "(99, 0)" in proc.stderr
+        assert "Traceback" not in proc.stderr

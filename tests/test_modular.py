@@ -1,4 +1,5 @@
 from math import comb
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -209,6 +210,22 @@ def test_fusion_cache_is_bounded_lru(monkeypatch):
     assert (0, 1) in capped._fusion_cache
     last = capped.index[capped.labels[-1]]
     assert list(capped._fusion_cache)[-1] == (last, last)
+
+
+def test_fresh_fusion_does_not_copy_s():
+    datum = sun_datum(8, 4)
+    fresh = type(datum).__new__(type(datum))
+    fresh.__dict__.update(datum.__dict__)
+    fresh._fusion_cache = {}
+    a, b = datum.labels[5], datum.labels[17]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fresh.fusion_coeffs(a, b)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < datum.S.nbytes / 4  # S.conj() would copy all of S
 
 
 def test_sector_vector_arithmetic(wzw_data):

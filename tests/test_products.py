@@ -58,12 +58,42 @@ def test_apply_s_three_factors():
     assert np.abs(prod.apply_s(v) - dense @ v).max() < 1e-12
 
 
+KRONECKER_CASES = {
+    "two": lambda: (sun_datum(3, 2), su_level_one(2)),
+    "three": lambda: (sun_datum(2, 3), su_level_one(3), spin_level_one(7)),
+    "four": lambda: (sun_datum(3, 2), su_level_one(2), su_level_one(3), su_level_one(2)),
+}
+
+
+def _bits(array):
+    return np.ascontiguousarray(array).view(float)
+
+
+@pytest.mark.parametrize("case", KRONECKER_CASES)
+def test_s_block_is_dense_kronecker_bit_for_bit(case):
+    factors = KRONECKER_CASES[case]()
+    prod = tensor_product(*factors)
+    dense = factors[0].S
+    for f in factors[1:]:
+        dense = np.kron(dense, f.S)
+    width = prod.size // prod.shape[0]
+    for a, label in enumerate(factors[0].labels):
+        block = prod.s_block(label)
+        assert block.shape == (prod.size, width)
+        assert np.array_equal(_bits(block), _bits(dense[:, a * width : (a + 1) * width]))
+    for label in prod.labels:
+        column = prod.s_column(label)
+        assert np.array_equal(_bits(column), _bits(dense[:, prod.index[label]]))
+
+
 def test_catalog_products_refuse_s():
     prod = tensor_product(catalog("su10_2"), su_level_one(5))
     with pytest.raises(UnsupportedFusionError):
         prod.apply_s(np.zeros(prod.size))
     with pytest.raises(UnsupportedFusionError):
         prod.s_column(prod.vacuum)
+    with pytest.raises(UnsupportedFusionError):
+        prod.s_block(prod.vacuum[0])
     assert prod.h_exact(prod.vacuum) is None  # catalogs carry h mod 1 only
     assert prod.mu_exact == 100
 

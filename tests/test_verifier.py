@@ -1,12 +1,17 @@
 import json
+import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from holonet.catalogs import CatalogError
 from holonet.extensions import find_local_system, simple_current_spectrum
-from holonet.modular import SectorVector
+from holonet.level_one import level_one_datum
+from holonet.modular import SectorVector, sun_datum
+from holonet.products import tensor_product
 from holonet.reporting import report_emit
 from holonet.verifier import (
     build_entry,
@@ -133,6 +138,53 @@ def test_s_invariance_negative_control_vacuum_vector():
 @pytest.mark.parametrize("entry", [40, 27, 18])
 def test_single_multiplicity_perturbations_break_s(entry, constructions):
     assert perturbation_residuals(constructions[entry]) > 1e-3
+
+
+def per_column_floor(prod, v):
+    """Reference for perturbation_residuals: one np.kron column per label."""
+    base_residual = prod.apply_s(v) - v
+    scale = np.abs(v).max()
+    worst = np.inf
+    for i, label in enumerate(prod.labels):
+        column = reduce(np.kron, [f.S[:, f.index[x]] for f, x in zip(prod.factors, label)])
+        column[i] -= 1.0
+        worst = min(worst, np.abs(base_residual + column).max() / scale)
+        if v[i] >= 1:
+            worst = min(worst, np.abs(base_residual - column).max() / scale)
+    return float(worst)
+
+
+@pytest.mark.parametrize("entry", [40, 27, 18])
+def test_perturbation_residuals_match_per_column_reference(entry, constructions):
+    cons = constructions[entry]
+    floor = per_column_floor(cons.wzw_product, cons.spectrum.as_vector())
+    assert perturbation_residuals(cons) == floor
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_perturbation_residuals_random_vectors(seed):
+    rng = np.random.default_rng(seed)
+    factors = [sun_datum(3, 2), level_one_datum("su2_1"), level_one_datum("su3_1")]
+    prod = tensor_product(*factors[: 2 + seed % 2])
+    mults = rng.integers(0, 3, size=prod.size)
+    mults[0] += 1
+    spectrum = SectorVector(prod, dict(zip(prod.labels, mults.tolist())))
+    cons = SimpleNamespace(wzw_product=prod, spectrum=spectrum)
+    assert perturbation_residuals(cons) == per_column_floor(prod, spectrum.as_vector())
+
+
+def test_perturbation_residuals_hold_few_blocks(constructions):
+    cons = constructions[18]
+    prod = cons.wzw_product
+    block_bytes = prod.size * (prod.size // prod.shape[0]) * 16
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        perturbation_residuals(cons)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * block_bytes
 
 
 def test_reference_spectra_well_formed():
