@@ -16,12 +16,10 @@ from .extensions import (
     LocalityError,
     LocalSystem,
     coupling_matrix,
-    extension_index,
     find_local_system,
     induced_hom,
     is_simple_current,
     monodromy_trivial,
-    mu_after,
     quadratic_form_consistency,
     simple_current_spectrum,
     verify_coupling,
@@ -85,7 +83,6 @@ __all__ = [
     "e6_level_one",
     "enumerate_weights",
     "exp_set",
-    "extension_index",
     "find_local_system",
     "induced_hom",
     "inclusion_table",
@@ -94,7 +91,6 @@ __all__ = [
     "mirror_mu",
     "mirror_spectrum",
     "monodromy_trivial",
-    "mu_after",
     "quadratic_form_consistency",
     "reference_spectrum",
     "report_emit",

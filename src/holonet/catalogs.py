@@ -96,7 +96,13 @@ class ExtensionCatalog:
         self.labels = [ir.label for ir in irreps]
         self.index = {label: i for i, label in enumerate(self.labels)}
         self._fusion = {}
-        for a, b, c, mult in fusion_rows:
+        for row in fusion_rows:
+            a, b, c, mult = row
+            for label in (a, b, c):
+                if label not in self.irreps:
+                    raise ValueError(
+                        f"fusion row {row} names unknown irrep {label!r}"
+                    )
             self._fusion.setdefault((a, b), {})[c] = int(mult)
             if a != b:
                 self._fusion.setdefault((b, a), {})[c] = int(mult)

@@ -163,7 +163,7 @@ def main_level_rank(argv=None):
 # local-system
 # ----------------------------------------------------------------------
 
-_TOKEN = re.compile(r"^(cat:|wzw:)?(su|spin|e6)(\d*)_(\d+)$")
+_TOKEN = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")
 
 
 def _resolve_factor(token):
@@ -173,10 +173,8 @@ def _resolve_factor(token):
     m = _TOKEN.match(token)
     if not m:
         raise ValueError(f"cannot parse theory token {token!r}")
-    prefix, family, size, level = m.groups()
-    if prefix == "wzw:" or (family == "su" and int(level) > 1):
-        if family != "su":
-            raise ValueError(f"{token!r}: only su(n)_k is computed from scratch")
+    family, size, level = m.groups()
+    if family == "su" and int(level) > 1:
         return sun_datum(int(size), int(level))
     return level_one_datum(f"{family}{size}_{level}")
 

@@ -1,7 +1,9 @@
 """Table-driven level-1 modular data: SU(m)_1, Spin(N)_1, (E6)_1.
 
-Pointed (all dimensions 1) theories get their S-matrix from the quadratic
-form on the fusion group, S_ab = theta(a) theta(b) / (theta(ab) sqrt(|G|)),
+Pointed (all dimensions 1) theories give each label its exponent vector in
+the fusion group (Z_m, Z_3, Z_4 or Z_2 x Z_2); extensions.abelian_table
+turns those into the group law.  The S-matrix comes from the quadratic
+form on that group, S_ab = theta(a) theta(b) / (theta(ab) sqrt(|G|)),
 the sign forced by (ST)^3 = S^2; the odd-Spin series uses the standard
 three-label Ising-shaped block.  Every table is validated against the full
 ModularDatum invariants on construction.
@@ -13,19 +15,27 @@ from functools import lru_cache
 
 import numpy as np
 
+from .extensions import abelian_table
 from .modular import ModularDatum
 
 
-def _pointed_datum(name, labels, add, h, c):
-    """Datum for an abelian fusion group given by an index-level group law."""
+def _pointed_datum(name, coords, orders, h, c):
+    """Datum of a pointed theory whose labels are the keys of `coords`,
+    each with its exponent vector in the fusion group (see abelian_table)."""
+    labels = list(coords)
+    index = {label: i for i, label in enumerate(labels)}
+    law = abelian_table(coords, orders)
     size = len(labels)
     theta = np.exp(2j * np.pi * np.array([float(x % 1) for x in h]))
     S = np.empty((size, size), dtype=complex)
-    for a in range(size):
-        for b in range(size):
-            S[a, b] = theta[a] * theta[b] / theta[add(a, b)]
+    for a, x in enumerate(labels):
+        for b, y in enumerate(labels):
+            S[a, b] = theta[a] * theta[b] / theta[index[law[(x, y)]]]
     S /= np.sqrt(size)
-    inverse = [next(b for b in range(size) if add(a, b) == 0) for a in range(size)]
+    inverse = [
+        next(b for b, y in enumerate(labels) if law[(x, y)] == labels[0])
+        for x in labels
+    ]
     return ModularDatum(
         name, labels, h, c, S, conj_perm=inverse, dim_sq=[Fraction(1)] * size
     )
@@ -36,11 +46,9 @@ def su_level_one(m):
     """SU(m)_1: labels y0..y{m-1}, h(yj) = j(m-j)/2m, Z_m fusion."""
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    labels = [f"y{j}" for j in range(m)]
+    coords = {f"y{j}": (j,) for j in range(m)}
     h = [Fraction(j * (m - j), 2 * m) for j in range(m)]
-    return _pointed_datum(
-        f"su{m}_1", labels, lambda a, b: (a + b) % m, h, Fraction(m - 1)
-    )
+    return _pointed_datum(f"su{m}_1", coords, (m,), h, Fraction(m - 1))
 
 
 @lru_cache(maxsize=None)
@@ -69,34 +77,21 @@ def spin_level_one(N):
             conj_perm=[0, 1, 2],
             dim_sq=[Fraction(1), Fraction(1), Fraction(2)],
         )
-    labels = ["1", "v", "s", "s'"]
     h = [Fraction(0), Fraction(1, 2), hs, hs]
-    if N % 4 == 2:
-        # s generates Z_4 with s^2 = v
-        order = {0: 0, 1: 2, 2: 1, 3: 3}  # label index -> Z_4 exponent
-        power = {v: k for k, v in order.items()}
-        add = lambda a, b: power[(order[a] + order[b]) % 4]
-    else:
-        # Klein group: v = s.s'
-        def add(a, b):
-            return a ^ b if a < 2 and b < 2 else _klein(a, b)
-
-        def _klein(a, b):
-            table = {
-                (0, 2): 2, (0, 3): 3, (1, 2): 3, (1, 3): 2,
-                (2, 2): 0, (2, 3): 1, (3, 3): 0,
-            }
-            return table[(a, b)] if (a, b) in table else table[(b, a)]
-
-    return _pointed_datum(f"spin{N}_1", labels, add, h, c)
+    if N % 4 == 2:  # s generates Z_4 with s^2 = v
+        coords, orders = {"1": (0,), "v": (2,), "s": (1,), "s'": (3,)}, (4,)
+    else:  # Klein group: v = s.s'
+        coords = {"1": (0, 0), "v": (1, 1), "s": (1, 0), "s'": (0, 1)}
+        orders = (2, 2)
+    return _pointed_datum(f"spin{N}_1", coords, orders, h, c)
 
 
 @lru_cache(maxsize=None)
 def e6_level_one():
     """(E6)_1: three labels with h = (0, 2/3, 2/3), c = 6, Z_3 fusion."""
-    labels = ["1", "27", "27*"]
+    coords = {"1": (0,), "27": (1,), "27*": (2,)}
     h = [Fraction(0), Fraction(2, 3), Fraction(2, 3)]
-    return _pointed_datum("e6_1", labels, lambda a, b: (a + b) % 3, h, Fraction(6))
+    return _pointed_datum("e6_1", coords, (3,), h, Fraction(6))
 
 
 _KIND_RE = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")

@@ -146,16 +146,6 @@ class SectorVector:
             out.add(self.theory.conj(label), m)
         return out
 
-    def translated(self, current):
-        """Image under fusion with a dimension-1 label (a permutation)."""
-        out = SectorVector(self.theory)
-        for label, m in self.mult.items():
-            products = self.theory.fuse(current, label)
-            if len(products) != 1 or next(iter(products.values())) != 1:
-                raise ValueError(f"{current!r} is not a simple current")
-            out.add(next(iter(products)), m)
-        return out
-
     def as_vector(self):
         v = np.zeros(len(self.theory.labels))
         for label, m in self.mult.items():
@@ -190,7 +180,7 @@ class SectorVector:
 class ModularDatum:
     """Labels, exact conformal weights, S-matrix and fusion of one theory."""
 
-    def __init__(self, name, labels, h, c, S, conj_perm, dim_sq=None, check=True):
+    def __init__(self, name, labels, h, c, S, conj_perm, dim_sq=None):
         self.name = name
         self.labels = list(labels)
         self.index = {label: i for i, label in enumerate(self.labels)}
@@ -203,8 +193,7 @@ class ModularDatum:
         self.mu = float(1.0 / self.S[0, 0].real ** 2)
         self._fusion_cache = {}
         self.residuals = {}
-        if check:
-            self.validate()
+        self.validate()
 
     # -- identity and structure ------------------------------------------
 

@@ -19,7 +19,7 @@ from .catalogs import CatalogError, _reading, catalog
 from .extensions import (
     LocalityError,
     LocalSystem,
-    extension_index,
+    abelian_table,
     find_local_system,
     induced_hom,
     monodromy_trivial,
@@ -167,7 +167,7 @@ def build_entry(entry):
         if induced_hom(prod, plain, plain, spectrum) != 1:
             raise ConstructionError(f"entry {entry}: {plain} not irreducible")
 
-        index = extension_index(spectrum)
+        index = spectrum.total_dim()
         twisted_orbit = system.orbit(twisted)
         stabilizer = system.order // len(twisted_orbit)
         if stabilizer * len(twisted_orbit) != system.order or stabilizer != pairs:
@@ -191,14 +191,16 @@ def build_entry(entry):
             "d1": prod.h_mod1(twisted),
             "d2": prod.h_mod1(twisted),
         }
-        klein = _klein_table()
+        klein = abelian_table(
+            {"1": (0, 0), "a": (1, 1), "d1": (1, 0), "d2": (0, 1)}, (2, 2)
+        )
         qf = quadratic_form_consistency(h_map, klein, subject="stage-2 group")
         if not qf.passed:
             raise ConstructionError(
                 f"entry {entry}: stage-2 group inconsistent: "
                 + "; ".join(c.details for c in qf.failures())
             )
-        z4 = _cyclic_table(["1", "d1", "a", "d2"])
+        z4 = abelian_table({"1": (0,), "d1": (1,), "a": (2,), "d2": (3,)}, (4,))
         if quadratic_form_consistency(h_map, z4, subject="Z4").passed:
             raise ConstructionError(
                 f"entry {entry}: Z4 alternative not excluded"
@@ -210,8 +212,8 @@ def build_entry(entry):
         mu = mu / 4
         ledger.append((f"/ 2^2 -> {mu}", mu))
         # Z2 of intermediate-theory sectors; that theory is never built
-        z2 = ["1", "d1"]
-        systems.append(("stage 2", LocalSystem(None, z2, z2[1:], _cyclic_table(z2), [2])))
+        z2 = abelian_table({"1": (0,), "d1": (1,)}, (2,))
+        systems.append(("stage 2", LocalSystem(None, ["1", "d1"], ["d1"], z2, [2])))
         notes.append(
             "stage 2 extends by the order-2 sector supported on the "
             f"orbit of {twisted}; the twin sector gives the same spectrum"
@@ -232,29 +234,10 @@ def build_entry(entry):
     )
 
 
-def _klein_table():
-    labels = ["1", "a", "d1", "d2"]
-    coord = {"1": (0, 0), "a": (1, 1), "d1": (1, 0), "d2": (0, 1)}
-    back = {v: k for k, v in coord.items()}
-    return {
-        (x, y): back[tuple((p + q) % 2 for p, q in zip(coord[x], coord[y]))]
-        for x in labels
-        for y in labels
-    }
-
-
-def _cyclic_table(ordered):
-    idx = {x: i for i, x in enumerate(ordered)}
-    size = len(ordered)
-    return {
-        (x, y): ordered[(idx[x] + idx[y]) % size] for x in ordered for y in ordered
-    }
-
-
-def reference_spectrum(entry, wzw_product=None):
+def reference_spectrum(entry):
     """The bundled reference list for an entry, over its WZW base."""
     cfg = _entry_config(entry)
-    wzw = wzw_product or wzw_base(entry)
+    wzw = wzw_base(entry)
     base = catalog(cfg["catalog"]).base
     n, k = base.labels[0].n, base.labels[0].k
     out = SectorVector(wzw)
@@ -328,7 +311,7 @@ def verify_entry(entry, tol=S_TOL):
         details=f"c = {cons.c_total}",
     )
 
-    reference = reference_spectrum(entry, cons.wzw_product)
+    reference = reference_spectrum(entry)
     match = cons.spectrum == reference
     report.add(
         "spectrum-reference",

@@ -248,3 +248,15 @@ def test_inclusion_weight_out_of_range_exits_2(tmp_path):
         assert proc.returncode == 2, proc.stderr
         assert "inclusions.json" in proc.stderr and "(99, 0)" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("position", [0, 2])  # an operand, the product
+def test_catalog_fusion_row_unknown_irrep_exits_2(tmp_path, position):
+    def corrupt(payload):
+        payload["fusion"][0][position] = "nope"
+
+    env = _corrupt_copy(tmp_path, "su8_4.json", corrupt)
+    proc = _cli(env, "catalog", "--name", "su8_4")
+    assert proc.returncode == 2, proc.stderr
+    assert "su8_4.json" in proc.stderr and "unknown irrep 'nope'" in proc.stderr
+    assert "Traceback" not in proc.stderr

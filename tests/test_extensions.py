@@ -7,13 +7,13 @@ import pytest
 from holonet.catalogs import catalog, inclusion_table
 from holonet.extensions import (
     LocalityError,
+    abelian_table,
     coupling_matrix,
-    extension_index,
+    current_image,
     find_local_system,
     induced_hom,
     is_simple_current,
     monodromy_trivial,
-    mu_after,
     quadratic_form_consistency,
     simple_current_spectrum,
     verify_coupling,
@@ -74,7 +74,7 @@ def test_local_system_z10(entry40_product):
     assert system.invariant_factors == [10]
     assert system.structure == "Z10"
     spec = simple_current_spectrum(system)
-    assert extension_index(spec) == 10.0
+    assert spec.total_dim() == 10.0
     assert spec.total() == 10
 
 
@@ -144,7 +144,7 @@ def test_trivial_system(wzw_data):
     system = find_local_system(d, [d.vacuum])
     assert system.order == 1
     assert system.invariant_factors == []
-    assert extension_index(simple_current_spectrum(system)) == 1.0
+    assert simple_current_spectrum(system).total_dim() == 1.0
 
 
 def test_invariant_factors_on_wzw_currents(wzw_data):
@@ -189,12 +189,10 @@ def test_charge_sum_dichotomy(entry40_product, catalogs, level_one_data):
 
 def test_index_and_mu_arithmetic(wzw_data, inclusions):
     vac_row = inclusions["su2_10-spin5_1"].rows["1"]
-    index = extension_index(vac_row)
+    index = vac_row.total_dim()
     assert abs(index - 4.7320508) < 1e-7
-    mu = mu_after(wzw_data[(2, 10)].mu, index)
+    mu = wzw_data[(2, 10)].mu / (index * index)
     assert abs(mu - 4) < 1e-9
-    assert mu_after(Fraction(400), 10) == 4
-    assert mu_after(Fraction(4), 2) == 1
 
 
 def test_induced_hom_values(entry40_product, wzw_data, inclusions):
@@ -307,6 +305,47 @@ def test_spectrum_translation(entry40_product):
     prod = entry40_product
     system = find_local_system(prod, [("j1", "y2", "v")])
     spec = simple_current_spectrum(system)
-    assert spec.translated(("j1", "y2", "v")) == spec
+    assert {current_image(prod, ("j1", "y2", "v"), x) for x in spec.mult} == set(
+        spec.mult
+    )
     orbit = system.orbit(("s0", "y3", "s"))
     assert len(orbit) == 5
+
+
+KLEIN = {"1": (0, 0), "a": (1, 1), "d1": (1, 0), "d2": (0, 1)}
+
+
+def test_abelian_table_laws():
+    klein = abelian_table(KLEIN, (2, 2))
+    assert len(klein) == 16
+    assert klein[("d1", "d2")] == "a" and klein[("a", "d1")] == "d2"
+    assert all(klein[(x, x)] == "1" for x in KLEIN)
+    z4 = abelian_table({"1": (0,), "d1": (1,), "a": (2,), "d2": (3,)}, (4,))
+    assert z4[("d1", "d1")] == "a" and z4[("d1", "d2")] == "1"
+    assert all(z4[(x, y)] == z4[(y, x)] for x, y in z4)
+
+
+def test_quadratic_form_biadditivity_alone_fails():
+    # every square is 1 and 4 h = 0 everywhere, so the power rule holds;
+    # b(a, d1) = h(d2) - h(a) - h(d1) = 1/4, yet b(a.a, d1) = b(1, d1) = 0
+    h_map = {x: Fraction(0) for x in KLEIN} | {"d2": Fraction(1, 4)}
+    report = quadratic_form_consistency(h_map, abelian_table(KLEIN, (2, 2)))
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["power-rule"].passed
+    assert not by_name["biadditive-pairing"].passed
+    assert by_name["biadditive-pairing"].details == "pairing not additive at (a, a; d1)"
+
+
+def test_quadratic_form_needs_identity():
+    h_map = {"x": Fraction(0), "y": Fraction(0)}
+    no_identity = {(x, y): "x" for x in h_map for y in h_map} | {("x", "x"): "y"}
+    with pytest.raises(ValueError, match="no identity"):
+        quadratic_form_consistency(h_map, no_identity)
+
+
+def test_closure_stops_at_group_order_cap(entry40_product, monkeypatch):
+    import holonet.extensions
+
+    monkeypatch.setattr(holonet.extensions, "MAX_GROUP_ORDER", 5)
+    with pytest.raises(LocalityError, match="group-order cap"):
+        find_local_system(entry40_product, [("j1", "y2", "v")])
