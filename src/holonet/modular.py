@@ -8,9 +8,12 @@ pairs of simple-current orbit representatives get a determinant, R^2 for R
 orbits of J; the rest of S is filled exactly from the phase laws
 S[J^a x, y] = exp(+2*pi*i*a*color(y)/n) S[x, y] on rows and, by symmetry,
 S[x, J^b y] = exp(+2*pi*i*b*color(x)/n) S[x, y] on columns (Schellekens and
-Yankielowicz 1990).  `ModularDatum.validate` still checks every entry.
-The normalization constant is not taken from a closed form: its modulus is
-fixed by unitarity and its phase by positivity of the vacuum row.
+Yankielowicz 1990).  `ModularDatum.validate` checks the symmetry, the
+conjugation and the phase law of J on every entry, and the products S^2 and
+STS on the columns of the orbit representatives only; the phase law carries
+that check to every other column.  The normalization constant is not taken
+from a closed form: its modulus is fixed by unitarity and its phase by
+positivity of the vacuum row.
 """
 
 from fractions import Fraction
@@ -52,6 +55,10 @@ def _shifted_coordinates(lab):
 
 def s_matrix(n, k):
     """Kac-Peterson S-matrix of SU(n)_k over the lexicographic weight list.
+
+    Returns S and the permutation J of the weight list (entry i is the
+    position of J applied to weight i), the simple current whose orbits
+    the construction below fills.
 
     Entry (x, y) is exp(2*pi*i*|l||m|/(n*kappa)) * det[exp(-2*pi*i*l_i*m_j/kappa)]
     with kappa = k + n and l, m the shifted coordinates of x and y.  Only the
@@ -103,7 +110,7 @@ def s_matrix(n, k):
     raw /= scale
     z = raw[0, 0]
     raw *= z.conjugate() / abs(z)
-    return raw
+    return raw, jtab[1]
 
 
 class SectorVector:
@@ -178,9 +185,14 @@ class SectorVector:
 
 
 class ModularDatum:
-    """Labels, exact conformal weights, S-matrix and fusion of one theory."""
+    """Labels, exact conformal weights, S-matrix and fusion of one theory.
 
-    def __init__(self, name, labels, h, c, S, conj_perm, dim_sq=None):
+    `conj_perm` and `current_perm` give the positions of the conjugate and
+    of the image under a simple current J of each label; without a current,
+    J is the identity.
+    """
+
+    def __init__(self, name, labels, h, c, S, conj_perm, dim_sq=None, current_perm=None):
         self.name = name
         self.labels = list(labels)
         self.index = {label: i for i, label in enumerate(self.labels)}
@@ -188,6 +200,9 @@ class ModularDatum:
         self.c = Fraction(c)
         self.S = np.asarray(S, dtype=complex)
         self.conj_perm = np.asarray(conj_perm, dtype=int)
+        self.current_perm = np.asarray(
+            range(len(self.labels)) if current_perm is None else current_perm, dtype=int
+        )
         self.dim_sq = None if dim_sq is None else [Fraction(x) for x in dim_sq]
         self.d = self.S[0].real / self.S[0, 0].real
         self.mu = float(1.0 / self.S[0, 0].real ** 2)
@@ -271,29 +286,111 @@ class ModularDatum:
     # -- validation --------------------------------------------------------
 
     def validate(self, tol=UNITARITY_TOL, modular_tol=MODULAR_TOL):
-        S = self.S
-        eye = np.eye(self.size)
-        r = {}
-        r["unitarity"] = np.abs(S @ S.conj().T - eye).max()
-        r["symmetry"] = np.abs(S - S.T).max()
-        s2 = S @ S
-        r["s_squared"] = np.abs(s2 - eye[self.conj_perm]).max()
-        st = S * self.t_diagonal()[None, :]
-        r["modular_relation"] = np.abs(st @ st @ st - s2).max()
-        self.residuals = r
-        if self.h[0] != 0:
-            raise NumericalIntegrityError(f"{self.name}: vacuum weight {self.h[0]} != 0")
+        """Check that S, T, C and J are modular data; store and return residuals.
+
+        Exact checks come first: h(vacuum) = 0, C is an involution that
+        keeps every conformal weight (so T C = C T), J is a permutation and
+        C = J C J.  Then three O(N^2) elementwise residuals, measured:
+
+          phase_law     max |S[Jx, y] - e(Q(y)) S[x, y]|, where the charge
+                        Q(y) = h(J0) + h(y) - h(Jy) mod 1 is read off the
+                        T diagonal: e(Q(y)) = t(J0) t(y) / (t(0) t(Jy))
+          symmetry      max |S - S^T|
+          conjugation   max |conj(S) - C S|
+
+        and two products on the columns of the R orbit representatives of
+        J: D = S^2 - C and P = STS - T^-1 S T^-1.  The phase law gives
+        D[x, Jy] = D[Jx, y] and P[x, Jy] = P[Jx, y] up to the per-step
+        errors e_D = sqrt(N) rho (2 symmetry + 2 phase) and e_P = e_D +
+        2 symmetry + 2 phase, where phase is phase_law + 16 u rho for the
+        rounding of e(Q), so a column J^b r (b < L, the longest orbit)
+        is the column r permuted, to within b e_D or b e_P.  Here rho is
+        the largest row or column 2-norm of S.  The other keys are upper
+        bounds, exact to first order in the unit roundoff u, of what the
+        dense matrices would give:
+
+          s_squared         max |S^2 - C|: the block maximum + (L - 1) e_D
+                            + w, where w = 4 (N + 2) u rho^2 covers the
+                            rounding of a product entry, here and in the
+                            dense product
+          unitarity         max |S S^H - I|: s_squared + sqrt(N) rho
+                            (conjugation + symmetry), since S S^H = S^2 C
+                            up to those terms
+          modular_relation  max |(ST)^3 - S^2|: 2 s_squared + sqrt(N) rho
+                            max|P|, with max|P| bounded as s_squared is,
+                            since (ST)^3 - S^2 = T^-1 D T - D + P T S T
+
+        With J the identity, R = N and L = 1.  `modular_relation` is held
+        to `modular_tol`, every other residual to `tol`.
+        """
+        S, conj, cur, h = self.S, self.conj_perm, self.current_perm, self.h
+        size = self.size
+        identity = np.arange(size)
+        if h[0] != 0:
+            raise NumericalIntegrityError(f"{self.name}: vacuum weight {h[0]} != 0")
         if not (S[0].real > 0).all() or np.abs(S[0].imag).max() > tol:
             raise NumericalIntegrityError(f"{self.name}: vacuum row not positive")
-        for key in ("unitarity", "symmetry", "s_squared"):
-            if r[key] > tol:
-                raise NumericalIntegrityError(
-                    f"{self.name}: {key} residual {r[key]:.3g} > {tol}"
-                )
-        if r["modular_relation"] > modular_tol:
+        if not np.array_equal(conj[conj], identity) or any(
+            h[c] != x for c, x in zip(conj, h)
+        ):
             raise NumericalIntegrityError(
-                f"{self.name}: (ST)^3 = S^2 residual {r['modular_relation']:.3g}"
+                f"{self.name}: conjugation is not an involution keeping h"
             )
+        if not np.array_equal(np.sort(cur), identity) or not np.array_equal(
+            cur[conj[cur]], conj
+        ):
+            raise NumericalIntegrityError(
+                f"{self.name}: J is not a permutation with C = J C J"
+            )
+
+        t = self.t_diagonal()
+        r = {}
+        diff = S[cur]
+        diff *= (t[cur[0]] / t[0] * t / t[cur]).conj()
+        diff -= S
+        r["phase_law"] = np.abs(diff).max()
+        np.subtract(S, S.T, out=diff)
+        r["symmetry"] = np.abs(diff).max()
+        diff = S[conj]
+        np.conjugate(diff, out=diff)
+        diff -= S
+        r["conjugation"] = np.abs(diff).max()
+        sq = np.abs(S)
+        sq *= sq
+        rho = np.sqrt(max(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+
+        # The lowest label on each orbit of J, and the longest orbit L.
+        low, image, longest = identity.copy(), cur.copy(), 1
+        moving = image != identity
+        while moving.any():
+            np.minimum(low, image, out=low)
+            image = cur[image]
+            longest += 1
+            moving &= image != identity
+        reps = np.flatnonzero(low == identity)
+        cols = S[:, reps]
+        block = S @ cols
+        block[conj[reps], np.arange(len(reps))] -= 1
+        d_max = np.abs(block).max()
+        block = S @ (t[:, None] * cols)
+        block -= cols / t[:, None] / t[reps]
+        p_max = np.abs(block).max()
+
+        u = np.finfo(float).eps / 2
+        root = np.sqrt(size) * rho
+        step = 2 * (r["symmetry"] + r["phase_law"] + 16 * u * rho)
+        rounding = 4 * (size + 2) * u * rho * rho
+        r["s_squared"] = d_max + (longest - 1) * root * step + rounding
+        r["unitarity"] = r["s_squared"] + root * (r["conjugation"] + r["symmetry"])
+        p_bound = p_max + (longest - 1) * (root + 1) * step + rounding
+        r["modular_relation"] = 2 * r["s_squared"] + root * p_bound
+        self.residuals = r
+        for key, value in r.items():
+            limit = modular_tol if key == "modular_relation" else tol
+            if not value <= limit:
+                raise NumericalIntegrityError(
+                    f"{self.name}: {key} residual {value:.3g} > {limit}"
+                )
         return r
 
     def __repr__(self):
@@ -306,11 +403,13 @@ def sun_datum(n, k):
     ws = enumerate_weights(n, k)
     index = {w: i for i, w in enumerate(ws)}
     conj_perm = [index[w.conjugate()] for w in ws]
+    S, current_perm = s_matrix(n, k)
     return ModularDatum(
         name=f"su{n}_{k}",
         labels=ws,
         h=[w.conformal_weight() for w in ws],
         c=central_charge(n, k),
-        S=s_matrix(n, k),
+        S=S,
         conj_perm=conj_perm,
+        current_perm=current_perm,
     )

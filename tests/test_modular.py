@@ -7,7 +7,10 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from holonet import modular
+from holonet.level_one import level_one_datum
 from holonet.modular import (
+    MODULAR_TOL,
+    UNITARITY_TOL,
     ModularDatum,
     NumericalIntegrityError,
     SectorVector,
@@ -21,13 +24,11 @@ RNG_SEED = 20240811
 
 
 def su2_closed_form_s(k):
+    """sqrt(2/(k+2)) sin(pi (a+1)(b+1) / (k+2)), the argument reduced in integers."""
     kk = k + 2
-    return np.array(
-        [
-            [np.sqrt(2.0 / kk) * np.sin((a + 1) * (b + 1) * np.pi / kk) for b in range(k + 1)]
-            for a in range(k + 1)
-        ]
-    )
+    shifted = np.arange(1, k + 2)
+    arg = np.outer(shifted, shifted) % (2 * kk)
+    return np.sqrt(2.0 / kk) * np.sin(np.pi * arg / kk)
 
 
 def su2_fusion_rule(k, a, b):
@@ -40,7 +41,7 @@ def su2_fusion_rule(k, a, b):
 
 def test_su2_s_matrix_matches_closed_form():
     for k in (1, 4, 10):
-        assert np.abs(s_matrix(2, k) - su2_closed_form_s(k)).max() < 1e-12
+        assert np.abs(s_matrix(2, k)[0] - su2_closed_form_s(k)).max() < 1e-12
 
 
 def test_su2_conformal_weights_closed_form():
@@ -279,8 +280,9 @@ def levels_up_to(n, max_labels):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_orbit_s_matrix_matches_all_pairs_reference(n):
+    reference = su2_closed_form_s if n == 2 else lambda k: all_pairs_s_matrix(n, k)
     for k in levels_up_to(n, 500):
-        resid = np.abs(s_matrix(n, k) - all_pairs_s_matrix(n, k)).max()
+        resid = np.abs(s_matrix(n, k)[0] - reference(k)).max()
         assert resid <= 1e-13, (n, k, resid)
 
 
@@ -336,3 +338,88 @@ def test_one_determinant_per_pair_of_orbits(monkeypatch):
     datum = sun_datum.__wrapped__(8, 4)  # uncached build
     assert datum.size == 330
     assert count == 43 * 43
+
+
+# -- validation from the orbit columns ----------------------------------------
+
+LEVEL_ONE_TABLES = (
+    [f"su{m}_1" for m in range(2, 13)] + [f"spin{m}_1" for m in range(3, 21)] + ["e6_1"]
+)
+
+
+def dense_residuals(datum):
+    """The four residuals as dense N x N matrices give them: four products."""
+    S = datum.S
+    eye = np.eye(datum.size)
+    s2 = S @ S
+    st = S * datum.t_diagonal()[None, :]
+    return {
+        "unitarity": np.abs(S @ S.conj().T - eye).max(),
+        "symmetry": np.abs(S - S.T).max(),
+        "s_squared": np.abs(s2 - eye[datum.conj_perm]).max(),
+        "modular_relation": np.abs(st @ st @ st - s2).max(),
+    }
+
+
+def assert_residuals_bound_dense(datum):
+    for key, value in dense_residuals(datum).items():
+        assert datum.residuals[key] >= value, (datum.name, key)
+    for key, value in datum.residuals.items():
+        assert value <= (MODULAR_TOL if key == "modular_relation" else UNITARITY_TOL)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES))
+def test_residuals_bound_dense_quantities(pair):
+    assert_residuals_bound_dense(sun_datum(*pair))
+
+
+def test_level_one_residuals_bound_dense_quantities():
+    for kind in LEVEL_ONE_TABLES:
+        assert_residuals_bound_dense(level_one_datum(kind))
+
+
+@pytest.mark.parametrize("pair", [(3, 4), (4, 4), (6, 4)])
+def test_wrong_sign_with_current_fails_phase_law(pair):
+    n, k = pair
+    good = sun_datum(n, k)
+    colors = np.array([w.color for w in good.labels])
+    bad = good.S.copy()
+    for i, (rep, a) in enumerate(orbit_positions(good.labels)):
+        bad[i] = np.exp(-2j * np.pi * a * colors / n) * good.S[rep]
+    with pytest.raises(NumericalIntegrityError, match=r"phase_law residual \d"):
+        ModularDatum(
+            good.name, good.labels, good.h, good.c, bad, good.conj_perm,
+            current_perm=good.current_perm,
+        )
+
+
+@pytest.mark.parametrize(
+    "swap, message",
+    [
+        (((1, 0), (0, 1)), r"phase_law residual \d"),  # a conjugate pair: C = JCJ holds
+        (((1, 0), (1, 1)), "C = J C J"),
+    ],
+)
+def test_current_that_is_not_simple_is_rejected(swap, message):
+    good = sun_datum(3, 4)
+    a, b = (good.index[AffineWeight(3, 4, labels)] for labels in swap)
+    current = np.arange(good.size)
+    current[[a, b]] = b, a
+    with pytest.raises(NumericalIntegrityError, match=message):
+        ModularDatum(
+            good.name, good.labels, good.h, good.c, good.S, good.conj_perm,
+            current_perm=current,
+        )
+
+
+def test_validate_memory_is_bounded():
+    datum = sun_datum(8, 4)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        datum.validate()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * datum.S.nbytes
