@@ -49,7 +49,7 @@ print("current row acts as a permutation:",
 
 for kind in ("su5_1", "spin7_1", "spin20_1", "e6_1"):
     d = level_one_datum(kind)
-    hs = ", ".join(str(h) for h in d.h)
+    hs = ", ".join(str(d.h_exact(label)) for label in d.labels)
     print(f"\n{d.name}: c = {d.c}, mu = {d.mu:.1f}, h = ({hs})")
     if kind == "spin7_1":
         print("  Ising-shaped fusion: s x s =", d.fuse("s", "s"))

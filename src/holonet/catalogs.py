@@ -1,7 +1,8 @@
 """Bundled extension catalogs and mirror-extension spectra.
 
 A catalog records the representation theory of a finite-index extension at
-data level: irreducibles with squared dimensions, exact h mod 1,
+data level: irreducibles with squared dimensions, exact h mod 1 (integer
+numerators over `h_den`, the lcm of the tabulated denominators),
 restrictions to the base SU(n)_k theory, and the stored fusion rows (the
 full automorphism group plus the conjugate pairs of the dimension-sqrt(2)
 family).  Catalogs answer the theory members of ModularDatum, but with
@@ -15,8 +16,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, wraps
 from importlib import resources
+from math import lcm
 
-from .extensions import BranchingTable, quadratic_form_consistency
+from .extensions import BranchingTable, congruent_mod1, quadratic_form_consistency
 from .level_one import level_one_datum
 from .level_rank import vacuum_pairing
 from .modular import SectorVector, sun_datum
@@ -70,10 +72,10 @@ def _reading(fname):
 
 
 class CatalogIrrep:
-    def __init__(self, label, dim_sq, h_mod1, automorphism, restriction):
+    def __init__(self, label, dim_sq, h_code, automorphism, restriction):
         self.label = label
         self.dim_sq = Fraction(dim_sq)
-        self.h_mod1 = Fraction(h_mod1) % 1
+        self.h_code = h_code  # h mod 1, a numerator over the catalog's h_den
         self.automorphism = bool(automorphism)
         self.restriction = restriction
 
@@ -85,8 +87,9 @@ class CatalogIrrep:
 class ExtensionCatalog:
     """Data-level representation theory of one finite-index extension."""
 
-    def __init__(self, name, base, mu, index_sq, irreps, fusion_rows):
+    def __init__(self, name, base, mu, index_sq, irreps, fusion_rows, h_den):
         self.key = name
+        self.h_den = h_den
         self.name = f"ext({name})"
         self.base = base
         self.mu_exact = Fraction(mu)
@@ -119,7 +122,7 @@ class ExtensionCatalog:
     @property
     def vacuum(self):
         for ir in self.irreps.values():
-            if ir.automorphism and ir.h_mod1 == 0 and self._restricts_to_vacuum(ir):
+            if ir.automorphism and ir.h_code == 0 and self._restricts_to_vacuum(ir):
                 return ir.label
         raise CatalogError(f"{self.key}: no irrep restricts to the base vacuum")
 
@@ -130,8 +133,11 @@ class ExtensionCatalog:
     def size(self):
         return len(self.labels)
 
+    def h_code(self, label):
+        return self.irreps[label].h_code
+
     def h_mod1(self, label):
-        return self.irreps[label].h_mod1
+        return Fraction(self.h_code(label), self.h_den)
 
     def h_exact(self, label):
         """None: a catalog tabulates h mod 1 only."""
@@ -182,8 +188,10 @@ class ExtensionCatalog:
 def _parse_catalog(payload):
     base = sun_datum(payload["base"]["rank"], payload["base"]["level"])
     n, k = payload["base"]["rank"], payload["base"]["level"]
+    hs = [Fraction(rec["h_mod1"]) for rec in payload["irreps"]]
+    den = lcm(*(h.denominator for h in hs))
     irreps = []
-    for rec in payload["irreps"]:
+    for rec, h in zip(payload["irreps"], hs):
         restriction = [
             (AffineWeight(n, k, tuple(labels)), int(mult))
             for labels, mult in rec["restriction"]
@@ -192,14 +200,14 @@ def _parse_catalog(payload):
             CatalogIrrep(
                 rec["label"],
                 rec["dim_sq"],
-                rec["h_mod1"],
+                h.numerator * (den // h.denominator) % den,
                 rec["automorphism"],
                 restriction,
             )
         )
     return ExtensionCatalog(
         payload["name"], base, payload["mu"], payload["index_sq"],
-        irreps, payload["fusion"],
+        irreps, payload["fusion"], den,
     )
 
 
@@ -308,13 +316,14 @@ def verify_catalog(cat):
     )
 
     ok, witness = True, ""
+    base = cat.base
     for ir in cat.irreps.values():
         for weight, _ in ir.restriction:
-            if weight.conformal_weight() % 1 != ir.h_mod1:
+            if not congruent_mod1(base.h_code(weight), base.h_den, ir.h_code, cat.h_den):
                 ok = False
                 witness = (
                     f"{ir.label}: component {weight} has h = "
-                    f"{weight.conformal_weight()} != {ir.h_mod1} (mod 1)"
+                    f"{base.h_exact(weight)} != {cat.h_mod1(ir.label)} (mod 1)"
                 )
     report.add("restriction-weights", ok, details=witness)
 

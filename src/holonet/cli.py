@@ -75,7 +75,7 @@ def main_modular_data(argv=None):
             list(l.labels) if isinstance(l, AffineWeight) else str(l)
             for l in datum.labels
         ],
-        "h": [str(h) for h in datum.h],
+        "h": [str(datum.h_exact(label)) for label in datum.labels],
         "c": str(datum.c),
         "d": [float(x) for x in datum.d],
         "mu": datum.mu,
@@ -87,8 +87,8 @@ def main_modular_data(argv=None):
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
     if args.csv:
         lines = ["label,h,d"]
-        for label, h, d in zip(datum.labels, datum.h, datum.d):
-            lines.append(f"\"{_label_text(label)}\",{h},{float(d)!r}")
+        for label, d in zip(datum.labels, datum.d):
+            lines.append(f"\"{_label_text(label)}\",{datum.h_exact(label)},{float(d)!r}")
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0

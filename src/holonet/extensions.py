@@ -2,10 +2,13 @@
 spectra, abelian group tables and the quadratic-form check on them,
 induction counts and coupling matrices.
 
-All locality checks are exact congruences on rational conformal weights;
-no tolerance enters.  Only scalar monodromies are supported: the acting
-label must be a simple current (dimension 1), so composition with it is a
-permutation of the irreducibles.
+Every theory gives h mod 1 as an integer code over its denominator D
+(`h_code`, `h_den`).  The monodromy charge is additive in the current
+(Schellekens and Yankielowicz 1990), so every locality and quadratic-form
+check is an integer congruence mod D on weights of currents and labels,
+with no tolerance; a Fraction is built only for a witness.  Only scalar
+monodromies are supported: the acting label must be a simple current
+(dimension 1), so composition with it is a permutation of the irreducibles.
 """
 
 import itertools
@@ -32,6 +35,11 @@ def is_simple_current(theory, label):
     return theory.fuse(label, theory.conj(label)) == {theory.vacuum: 1}
 
 
+def congruent_mod1(a, a_den, b, b_den):
+    """a / a_den = b / b_den (mod 1), in integers."""
+    return (a * b_den - b * a_den) % (a_den * b_den) == 0
+
+
 def current_image(theory, current, label):
     """The single label current x label; errors if current has dim > 1."""
     prod = theory.fuse(current, label)
@@ -55,10 +63,10 @@ def monodromy_trivial(theory, current, other):
         components = list(other.mult)
     else:
         components = [other]
-    hc = theory.h_mod1(current)
+    code, den = theory.h_code, theory.h_den
+    hc = code(current)
     for label in components:
-        image = current_image(theory, current, label)
-        if (theory.h_mod1(image) - hc - theory.h_mod1(label)) % 1 != 0:
+        if (code(current_image(theory, current, label)) - hc - code(label)) % den:
             return False
     return True
 
@@ -121,11 +129,10 @@ def find_local_system(theory, generators):
                 f"generator {g!r} is not an automorphism: dim^2 "
                 f"{theory.dim(g) ** 2:.8f} != 1"
             )
-        hg = theory.h_mod1(g)
-        if hg != 0:
+        if theory.h_code(g):
             raise LocalityError(
                 f"generator {g!r} has nontrivial univalence: "
-                f"h = {hg} (mod 1) != 0"
+                f"h = {theory.h_mod1(g)} (mod 1) != 0"
             )
     for a, b in itertools.combinations_with_replacement(gens, 2):
         if not monodromy_trivial(theory, a, b):
@@ -151,17 +158,18 @@ def find_local_system(theory, generators):
     elements = sorted(members, key=theory.index.__getitem__)
 
     mul = {}
+    code = {g: theory.h_code(g) for g in elements}
     for a, b in itertools.product(elements, repeat=2):
         c = current_image(theory, a, b)
         if c not in members:
             raise LocalityError(f"closure not a group: {a!r} x {b!r} escapes")
         mul[(a, b)] = c
-        if (theory.h_mod1(c) - theory.h_mod1(a) - theory.h_mod1(b)) % 1 != 0:
+        if (code[c] - code[a] - code[b]) % theory.h_den:
             raise LocalityError(
                 f"elements ({a!r}, {b!r}) have nontrivial monodromy"
             )
     for g in elements:
-        if theory.h_mod1(g) != 0:
+        if code[g]:
             raise LocalityError(f"element {g!r} has h = {theory.h_mod1(g)} != 0")
         if theory.conj(g) not in members:
             raise LocalityError(f"closure not conjugation-closed at {g!r}")
@@ -255,17 +263,17 @@ def verify_coupling(branching, tol=1e-8):
         "nonnegative-integers", z.min() >= 0, details=f"min entry {z.min()}"
     )
 
-    congruent = True
-    witness = ""
+    ok, witness = True, ""
     for a in ambient.labels:
-        ha = ambient.h_mod1(a)
+        ha = ambient.h_code(a)
         for lam in branching.rows[a].mult:
-            if base.h_mod1(lam) != ha:
-                congruent = False
+            if not congruent_mod1(base.h_code(lam), base.h_den, ha, ambient.h_den):
+                ok = False
                 witness = (
-                    f"h({lam}) = {base.h_mod1(lam)} != {ha} = h({a}) (mod 1)"
+                    f"h({lam}) = {base.h_mod1(lam)} != "
+                    f"{ambient.h_mod1(a)} = h({a}) (mod 1)"
                 )
-    report.add("weight-congruence", congruent, details=witness)
+    report.add("weight-congruence", ok, details=witness)
 
     s = base.S
     rs = np.abs(z @ s - s @ z).max()
@@ -293,38 +301,37 @@ def abelian_table(coords, orders):
 def quadratic_form_consistency(h_map, mul, subject="quadratic form"):
     """Check that h mod 1 is a quadratic form on a candidate abelian group.
 
-    `h_map` assigns each element its exact h mod 1; `mul` is the full
-    composition table {(x, y): x.y} over those elements.  The pairing
-    b(x, y) = h(xy) - h(x) - h(y) (mod 1) is built once per table entry.
-    Two checks: the power rule h(g^2) = 4 h(g) (mod 1) for every g, and
-    biadditivity b(xy, z) = b(x, z) + b(y, z) (mod 1) for every triple.
-    Together they give h(g^a) = a^2 h(g) for every power a, since
-    b(g, g) = 2 h(g) and h(g^(a+1)) = h(g^a) + h(g) + a b(g, g).
-    Violations are reported with the offending element, or triple.
+    `h_map` assigns each element its exact h mod 1 (Fractions or ints);
+    `mul` is the full composition table {(x, y): x.y} over those elements.
+    Both checks are integer congruences mod the common denominator D of
+    the weights, each one numpy broadcast over the table: the power rule
+    h(g^2) = 4 h(g) (mod 1) for every g, and biadditivity of the pairing
+    b(x, y) = h(xy) - h(x) - h(y), b(xy, z) = b(x, z) + b(y, z) (mod 1)
+    for every triple.  Together they give h(g^a) = a^2 h(g) for every
+    power a, since b(g, g) = 2 h(g) and h(g^(a+1)) = h(g^a) + h(g) +
+    a b(g, g).  The first offending element, or triple, is the witness.
     """
     report = VerificationReport(subject=subject)
     elements = list(h_map)
-    if not any(all(mul[(e, x)] == x for x in elements) for e in elements):
+    size, pos = len(elements), {x: i for i, x in enumerate(elements)}
+    m = np.array([pos[mul[(x, y)]] for x in elements for y in elements], dtype=int)
+    m = m.reshape(size, size)
+    if not (m == np.arange(size)).all(axis=1).any():
         raise ValueError("candidate table has no identity element")
+    den = lcm(*(x.denominator for x in h_map.values()))
+    h = np.array([x.numerator * (den // x.denominator) % den for x in h_map.values()])
 
-    ok, witness = True, ""
-    for g in elements:
-        square, expected = h_map[mul[(g, g)]] % 1, (4 * h_map[g]) % 1
-        if square != expected:
-            ok = False
-            witness = f"h({g}^2) = {square} != 2^2 h({g}) = {expected}"
-            break
-    report.add("power-rule", ok, details=witness)
+    bad, witness = np.flatnonzero(h[m.diagonal()] != 4 * h % den), ""
+    if bad.size:
+        g = elements[bad[0]]
+        square, expected = h_map[mul[(g, g)]] % 1, 4 * h_map[g] % 1
+        witness = f"h({g}^2) = {square} != 2^2 h({g}) = {expected}"
+    report.add("power-rule", not bad.size, details=witness)
 
-    pairing = {
-        (x, y): (h_map[mul[(x, y)]] - h_map[x] - h_map[y]) % 1
-        for x, y in itertools.product(elements, repeat=2)
-    }
-    ok, witness = True, ""
-    for g1, g2, h in itertools.product(elements, repeat=3):
-        if pairing[(mul[(g1, g2)], h)] != (pairing[(g1, h)] + pairing[(g2, h)]) % 1:
-            ok = False
-            witness = f"pairing not additive at ({g1}, {g2}; {h})"
-            break
-    report.add("biadditive-pairing", ok, details=witness)
+    b = (h[m] - h[:, None] - h[None, :]) % den
+    bad, witness = np.flatnonzero(b[m] != (b[:, None, :] + b[None, :, :]) % den), ""
+    if bad.size:
+        g1, g2, g3 = (elements[i] for i in np.unravel_index(bad[0], (size,) * 3))
+        witness = f"pairing not additive at ({g1}, {g2}; {g3})"
+    report.add("biadditive-pairing", not bad.size, details=witness)
     return report

@@ -5,12 +5,13 @@ the fusion group (Z_m, Z_3, Z_4 or Z_2 x Z_2); extensions.abelian_table
 turns those into the group law.  The S-matrix comes from the quadratic
 form on that group, S_ab = theta(a) theta(b) / (theta(ab) sqrt(|G|)),
 the sign forced by (ST)^3 = S^2; the odd-Spin series uses the standard
-three-label Ising-shaped block.  Every table is validated against the full
-ModularDatum invariants on construction.
+three-label Ising-shaped block.  Conformal weights and central charges are
+tabulated as integer numerators over one denominator per family (2m, 16,
+3).  Every table is validated against the full ModularDatum invariants on
+construction.
 """
 
 import re
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -19,14 +20,14 @@ from .extensions import abelian_table
 from .modular import ModularDatum
 
 
-def _pointed_datum(name, coords, orders, h, c):
+def _pointed_datum(name, coords, orders, h, c_num, h_den):
     """Datum of a pointed theory whose labels are the keys of `coords`,
     each with its exponent vector in the fusion group (see abelian_table)."""
     labels = list(coords)
     index = {label: i for i, label in enumerate(labels)}
     law = abelian_table(coords, orders)
     size = len(labels)
-    theta = np.exp(2j * np.pi * np.array([float(x % 1) for x in h]))
+    theta = np.exp(2j * np.pi * (np.array(h) % h_den / h_den))
     S = np.empty((size, size), dtype=complex)
     for a, x in enumerate(labels):
         for b, y in enumerate(labels):
@@ -37,7 +38,7 @@ def _pointed_datum(name, coords, orders, h, c):
         for x in labels
     ]
     return ModularDatum(
-        name, labels, h, c, S, conj_perm=inverse, dim_sq=[Fraction(1)] * size
+        name, labels, h, c_num, h_den, S, conj_perm=inverse, dim_sq=[1] * size
     )
 
 
@@ -47,13 +48,13 @@ def su_level_one(m):
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     coords = {f"y{j}": (j,) for j in range(m)}
-    h = [Fraction(j * (m - j), 2 * m) for j in range(m)]
-    return _pointed_datum(f"su{m}_1", coords, (m,), h, Fraction(m - 1))
+    h = [j * (m - j) for j in range(m)]
+    return _pointed_datum(f"su{m}_1", coords, (m,), h, (m - 1) * 2 * m, 2 * m)
 
 
 @lru_cache(maxsize=None)
 def spin_level_one(N):
-    """Spin(N)_1 with h = (0, 1/2, N/16[, N/16]) and c = N/2.
+    """Spin(N)_1 with h = (0, 1/2, N/16[, N/16]) and c = N/2, over 16.
 
     Odd N: three labels 1, v, s with Ising-shaped S and [s.s] = [1]+[v].
     Even N: four dimension-1 labels; fusion Z_4 when N = 2 mod 4 and
@@ -61,37 +62,27 @@ def spin_level_one(N):
     """
     if N < 3:
         raise ValueError(f"need N >= 3, got {N}")
-    c = Fraction(N, 2)
-    hs = Fraction(N, 16)
+    h = [0, 8, N, N]
     if N % 2 == 1:
-        labels = ["1", "v", "s"]
-        h = [Fraction(0), Fraction(1, 2), hs]
         r2 = np.sqrt(2.0)
         S = 0.5 * np.array([[1, 1, r2], [1, 1, -r2], [r2, -r2, 0]], dtype=complex)
         return ModularDatum(
-            f"spin{N}_1",
-            labels,
-            h,
-            c,
-            S,
-            conj_perm=[0, 1, 2],
-            dim_sq=[Fraction(1), Fraction(1), Fraction(2)],
+            f"spin{N}_1", ["1", "v", "s"], h[:3], 8 * N, 16, S,
+            conj_perm=[0, 1, 2], dim_sq=[1, 1, 2],
         )
-    h = [Fraction(0), Fraction(1, 2), hs, hs]
     if N % 4 == 2:  # s generates Z_4 with s^2 = v
         coords, orders = {"1": (0,), "v": (2,), "s": (1,), "s'": (3,)}, (4,)
     else:  # Klein group: v = s.s'
         coords = {"1": (0, 0), "v": (1, 1), "s": (1, 0), "s'": (0, 1)}
         orders = (2, 2)
-    return _pointed_datum(f"spin{N}_1", coords, orders, h, c)
+    return _pointed_datum(f"spin{N}_1", coords, orders, h, 8 * N, 16)
 
 
 @lru_cache(maxsize=None)
 def e6_level_one():
-    """(E6)_1: three labels with h = (0, 2/3, 2/3), c = 6, Z_3 fusion."""
+    """(E6)_1: three labels with h = (0, 2/3, 2/3), c = 6 over 3, Z_3 fusion."""
     coords = {"1": (0,), "27": (1,), "27*": (2,)}
-    h = [Fraction(0), Fraction(2, 3), Fraction(2, 3)]
-    return _pointed_datum("e6_1", coords, (3,), h, Fraction(6))
+    return _pointed_datum("e6_1", coords, (3,), [0, 2, 2], 18, 3)
 
 
 _KIND_RE = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")

@@ -1,6 +1,6 @@
 """Modular data (S, T, fusion, dimensions) for rational theories.
 
-SU(n)_k data is computed from first principles: exact rational conformal
+SU(n)_k data is computed from first principles: integer-coded conformal
 weights, and the Kac-Peterson S-matrix as n x n determinants over roots of
 unity (the alternating sum over the symmetric group is a Leibniz expansion
 of a determinant, so 10! terms collapse to an O(n^3) determinant).  Only
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weights import enumerate_weights, simple_current_table
+from .weights import enumerate_weights, h_numerators, lex_positions, simple_current_table
 
 UNITARITY_TOL = 1e-9
 MODULAR_TOL = 1e-8
@@ -53,9 +53,11 @@ def _shifted_coordinates(lab):
     return part + np.arange(lab.shape[1], -1, -1)
 
 
-def s_matrix(n, k):
+def s_matrix(n, k, lab=None):
     """Kac-Peterson S-matrix of SU(n)_k over the lexicographic weight list.
 
+    `lab` is the Dynkin-label array of that list, one row per weight, as
+    `sun_datum` builds it; without it the weights are enumerated here.
     Returns S and the permutation J of the weight list (entry i is the
     position of J applied to weight i), the simple current whose orbits
     the construction below fills.
@@ -78,10 +80,10 @@ def s_matrix(n, k):
     arithmetic (mod kappa, n*kappa and n) before exponentiation, so every
     entry is an exact sum of roots of unity up to double rounding.
     """
-    ws = enumerate_weights(n, k)
-    big = len(ws)
+    if lab is None:
+        lab = np.array([w.labels for w in enumerate_weights(n, k)], dtype=np.int64)
+    big = len(lab)
     kappa = k + n
-    lab = np.array([w.labels for w in ws], dtype=np.int64)
     color = lab @ np.arange(1, n) % n
     jtab = simple_current_table(np.column_stack([k - lab.sum(axis=1), lab]))
     rep = jtab.min(axis=0)
@@ -187,17 +189,22 @@ class SectorVector:
 class ModularDatum:
     """Labels, exact conformal weights, S-matrix and fusion of one theory.
 
-    `conj_perm` and `current_perm` give the positions of the conjugate and
-    of the image under a simple current J of each label; without a current,
-    J is the identity.
+    `h` (int64, one per label) and `c_num` are the integer numerators of
+    the conformal weights and of c over one denominator `h_den`, 2n(k+n)
+    for SU(n)_k; a Fraction is built only to show a value (`h_exact`,
+    `h_mod1`, `c`).  `conj_perm` and `current_perm` give the positions of
+    the conjugate and of the image under a simple current J of each label;
+    without a current, J is the identity.
     """
 
-    def __init__(self, name, labels, h, c, S, conj_perm, dim_sq=None, current_perm=None):
+    def __init__(
+        self, name, labels, h, c_num, h_den, S, conj_perm, dim_sq=None, current_perm=None
+    ):
         self.name = name
         self.labels = list(labels)
         self.index = {label: i for i, label in enumerate(self.labels)}
-        self.h = [Fraction(x) for x in h]
-        self.c = Fraction(c)
+        self.h = np.asarray(h, dtype=np.int64)
+        self.c_num, self.h_den = int(c_num), int(h_den)
         self.S = np.asarray(S, dtype=complex)
         self.conj_perm = np.asarray(conj_perm, dtype=int)
         self.current_perm = np.asarray(
@@ -221,16 +228,23 @@ class ModularDatum:
         return self.labels[0]
 
     @property
+    def c(self):
+        return Fraction(self.c_num, self.h_den)
+
+    @property
     def mu_exact(self):
         if self.dim_sq is None:
             return None
         return sum(self.dim_sq, Fraction(0))
 
+    def h_code(self, label):
+        return int(self.h[self.index[label]]) % self.h_den
+
     def h_exact(self, label):
-        return self.h[self.index[label]]
+        return Fraction(int(self.h[self.index[label]]), self.h_den)
 
     def h_mod1(self, label):
-        return self.h[self.index[label]] % 1
+        return Fraction(self.h_code(label), self.h_den)
 
     def dim(self, label):
         return float(self.d[self.index[label]])
@@ -245,11 +259,12 @@ class ModularDatum:
         return self.labels[self.conj_perm[self.index[label]]]
 
     def univalence(self, label):
-        return np.exp(2j * np.pi * float(self.h_mod1(label)))
+        return np.exp(2j * np.pi * (self.h_code(label) / self.h_den))
 
     def t_diagonal(self):
-        phases = [float(h - self.c / 24) for h in self.h]
-        return np.exp(2j * np.pi * np.array(phases))
+        """exp(2 pi i (h - c/24)), the phase reduced mod 1 in integers first."""
+        mod = 24 * self.h_den
+        return np.exp(2j * np.pi * ((24 * self.h - self.c_num) % mod / mod))
 
     # -- fusion -----------------------------------------------------------
 
@@ -327,12 +342,12 @@ class ModularDatum:
         size = self.size
         identity = np.arange(size)
         if h[0] != 0:
-            raise NumericalIntegrityError(f"{self.name}: vacuum weight {h[0]} != 0")
+            raise NumericalIntegrityError(
+                f"{self.name}: vacuum weight {self.h_exact(self.vacuum)} != 0"
+            )
         if not (S[0].real > 0).all() or np.abs(S[0].imag).max() > tol:
             raise NumericalIntegrityError(f"{self.name}: vacuum row not positive")
-        if not np.array_equal(conj[conj], identity) or any(
-            h[c] != x for c, x in zip(conj, h)
-        ):
+        if not np.array_equal(conj[conj], identity) or not np.array_equal(h[conj], h):
             raise NumericalIntegrityError(
                 f"{self.name}: conjugation is not an involution keeping h"
             )
@@ -401,15 +416,15 @@ class ModularDatum:
 def sun_datum(n, k):
     """The SU(n)_k modular datum, computed from first principles and cached."""
     ws = enumerate_weights(n, k)
-    index = {w: i for i, w in enumerate(ws)}
-    conj_perm = [index[w.conjugate()] for w in ws]
-    S, current_perm = s_matrix(n, k)
+    lab = np.array([w.labels for w in ws], dtype=np.int64)
+    S, current_perm = s_matrix(n, k, lab)
     return ModularDatum(
         name=f"su{n}_{k}",
         labels=ws,
-        h=[w.conformal_weight() for w in ws],
-        c=central_charge(n, k),
+        h=h_numerators(lab, n),
+        c_num=2 * n * k * (n * n - 1),  # c = k(n^2-1)/(k+n) over 2n(k+n)
+        h_den=2 * n * (k + n),
         S=S,
-        conj_perm=conj_perm,
+        conj_perm=lex_positions(lab, lab[:, ::-1]),
         current_perm=current_perm,
     )

@@ -1,10 +1,11 @@
 """Tensor products of theories with a factorized S action.
 
 Labels of a product are tuples of factor labels; h and c add, dimensions
-and fusion multiply componentwise.  The product S-matrix is never built
-whole: `apply_s` contracts factor by factor along the corresponding tensor
-axis, which keeps the 2640-label products cheap and accurate, and
-`s_block` gives the columns of one first-factor label at a time.
+and fusion multiply componentwise; h mod 1 is a numerator over the lcm of
+the factors' denominators.  The product S-matrix is never built whole:
+`apply_s` contracts factor by factor along the corresponding tensor axis,
+which keeps the 2640-label products cheap and accurate, and `s_block`
+gives the columns of one first-factor label at a time.
 """
 
 import itertools
@@ -31,6 +32,7 @@ class ProductTheory:
             combo for combo in itertools.product(*(f.labels for f in factors))
         ]
         self.index = {label: i for i, label in enumerate(self.labels)}
+        self.h_den = math.lcm(*(f.h_den for f in self.factors))
 
     @property
     def size(self):
@@ -52,10 +54,12 @@ class ProductTheory:
     def c(self):
         return sum((f.c for f in self.factors), Fraction(0))
 
+    def h_code(self, label):
+        den, parts = self.h_den, zip(self.factors, label)
+        return sum(f.h_code(x) * (den // f.h_den) for f, x in parts) % den
+
     def h_mod1(self, label):
-        return sum(
-            (f.h_mod1(x) for f, x in zip(self.factors, label)), Fraction(0)
-        ) % 1
+        return Fraction(self.h_code(label), self.h_den)
 
     def h_exact(self, label):
         return _exact([f.h_exact(x) for f, x in zip(self.factors, label)], sum)
@@ -64,7 +68,8 @@ class ProductTheory:
         return float(np.prod([f.dim(x) for f, x in zip(self.factors, label)]))
 
     def dim_sq_of(self, label):
-        return _exact([f.dim_sq_of(x) for f, x in zip(self.factors, label)], math.prod)
+        parts = [f.dim_sq_of(x) for f, x in zip(self.factors, label)]
+        return _exact([p for p in parts if p != 1], math.prod)  # skip units: no Fraction
 
     def conj(self, label):
         return tuple(f.conj(x) for f, x in zip(self.factors, label))
@@ -106,14 +111,16 @@ class ProductTheory:
         A size x (size // shape[0]) array, columns in label order.  It is
         built by broadcast products ((S1 S2) S3)..., left to right, then one
         transpose: the same products in the same order as np.kron of the
-        factor columns, so the same bits.
+        factor columns, so the same bits.  The first-factor axis, the long
+        one, stays innermost while multiplying, so numpy's inner loops run
+        over it rather than over the short axes of the other factors.
         """
         self._require_s()
         first, *rest = self.factors
         block = first.S[:, first.index[a]]
-        for f in rest:  # axes become (r1, r2, x2, r3, x3, ...)
-            block = block[..., None, None] * f.S
-        order = [0, *range(1, block.ndim, 2), *range(2, block.ndim, 2)]
+        for f in rest:  # axes become (r2, x2, r3, x3, ..., r1)
+            block = block[..., None, None, :] * f.S[..., None]
+        order = [-1, *range(0, block.ndim - 1, 2), *range(1, block.ndim - 1, 2)]
         return block.transpose(order).reshape(self.size, -1)
 
     def s_column(self, label):

@@ -322,7 +322,7 @@ def verify_entry(entry, tol=S_TOL):
     bad = [
         label
         for label in cons.spectrum.mult
-        if cons.wzw_product.h_exact(label) % 1 != 0
+        if cons.wzw_product.h_code(label)
     ]
     report.add(
         "integer-weights",

@@ -75,21 +75,9 @@ class AffineWeight:
         return tuple(p) + (0,)
 
     def conformal_weight(self):
-        """Exact conformal weight h, a rational with denominator | 2n(k+n)."""
-        n, k, lam = self.n, self.k, self.labels
-        kappa = k + n
-        quad = sum(i * (n - i) * lam[i - 1] ** 2 for i in range(1, n))
-        cross = sum(
-            j * (n - i) * lam[j - 1] * lam[i - 1]
-            for i in range(2, n)
-            for j in range(1, i)
-        )
-        lin = sum(j * (n - j) * lam[j - 1] for j in range(1, n))
-        return (
-            Fraction(quad, 2 * n * kappa)
-            + Fraction(cross, n * kappa)
-            + Fraction(lin, 2 * kappa)
-        )
+        """Exact conformal weight h, over 2n(k+n) as `h_numerators` gives it."""
+        num = h_numerators(np.array([self.labels]), self.n)[0]
+        return Fraction(int(num), 2 * self.n * (self.k + self.n))
 
     def __str__(self):
         return ",".join(str(a) for a in self.labels)
@@ -114,31 +102,44 @@ def enumerate_weights(n, k):
     return out
 
 
+def h_numerators(lab, n):
+    """Conformal weights of SU(n)_k as integer numerators over 2n(k+n).
+
+    `lab` holds Dynkin labels, one row per weight.  h = (lambda, lambda +
+    2 rho) / 2(k+n), and n (lambda, lambda + 2 rho) = lambda M lambda^T +
+    n sum_j j(n-j) lambda_j with M_ij = min(i, j)(n - max(i, j)), n times
+    the inverse Cartan matrix.
+    """
+    j = np.arange(1, n)
+    M = np.minimum.outer(j, j) * (n - np.maximum.outer(j, j))
+    return ((lab @ M) * lab).sum(axis=1) + lab @ (n * j * (n - j))
+
+
 def simple_current_table(ext):
     """Positions of J^a(w) in a lexicographic weight list, for a = 0..n-1.
 
     `ext` holds one row of extended labels (lambda_0, ..., lambda_{n-1}) per
     weight, in `enumerate_weights` order.  J^a rolls a row by a places, the
-    rotation of `AffineWeight.simple_current`; the rolled rows are ranked by
-    a lexicographic `searchsorted` against the unrolled ones.  Entry [a, i]
-    of the (n, len(ext)) result is the position of J^a of weight i.
+    rotation of `AffineWeight.simple_current`; the rolled rows are found by
+    `lex_positions`.  Entry [a, i] of the (n, len(ext)) result is the
+    position of J^a of weight i.
     """
-    n = ext.shape[1]
-    keys = _lex_keys(ext[:, 1:])
+    lab = ext[:, 1:]
     return np.stack(
-        [np.searchsorted(keys, _lex_keys(np.roll(ext, a, axis=1)[:, 1:])) for a in range(n)]
+        [lex_positions(lab, np.roll(ext, a, axis=1)[:, 1:]) for a in range(ext.shape[1])]
     )
 
 
-def _lex_keys(rows):
-    """One opaque key per row, ordered as the rows are lexicographically.
+def lex_positions(lab, rows):
+    """Position of each row of `rows` in the lexicographic label array `lab`.
 
     Big-endian unsigned bytes compare as the integers they encode, so the
     raw bytes of a row sort like the row itself, with no overflow for any
-    rank or level.
+    rank or level; `searchsorted` on those byte keys finds the rows.
     """
-    rows = np.ascontiguousarray(rows, dtype=">u8")
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+    keys = [np.ascontiguousarray(a, dtype=">u8") for a in (lab, rows)]
+    keys = [a.view(f"V{a.itemsize * a.shape[1]}").ravel() for a in keys]
+    return np.searchsorted(*keys)
 
 
 def weight_count(n, k):

@@ -25,7 +25,7 @@ def test_su_m_one_data():
     assert d.fuse("y2", "y4") == {"y1": 1}
     assert d.conj("y2") == "y3"
     d3 = su_level_one(3)
-    assert [str(h) for h in d3.h] == ["0", "1/3", "1/3"]
+    assert [str(d3.h_exact(y)) for y in d3.labels] == ["0", "1/3", "1/3"]
     d2 = su_level_one(2)
     assert d2.h_exact("y1") == Fraction(1, 4)
 
@@ -46,7 +46,7 @@ def test_su_level_one_matches_first_principles():
 def test_spin_odd_is_ising_shaped():
     d = spin_level_one(7)
     assert d.c == Fraction(7, 2)
-    assert [str(h) for h in d.h] == ["0", "1/2", "7/16"]
+    assert [str(d.h_exact(x)) for x in d.labels] == ["0", "1/2", "7/16"]
     assert abs(d.mu - 4) < 1e-12
     assert d.fuse("s", "s") == {"1": 1, "v": 1}
     assert d.fuse("v", "s") == {"s": 1}
@@ -74,14 +74,14 @@ def test_spin6_matches_su4_level_one():
     # Spin(6) = SU(4): same h multiset and mu
     s6 = spin_level_one(6)
     s41 = su_level_one(4)
-    assert sorted(s6.h) == sorted(s41.h)
+    assert sorted(map(s6.h_exact, s6.labels)) == sorted(map(s41.h_exact, s41.labels))
     assert abs(s6.mu - s41.mu) < 1e-12
 
 
 def test_e6_table():
     d = e6_level_one()
     assert d.c == 6
-    assert [str(h) for h in d.h] == ["0", "2/3", "2/3"]
+    assert [str(d.h_exact(x)) for x in d.labels] == ["0", "2/3", "2/3"]
     assert d.mu_exact == 3
     assert d.fuse("27", "27") == {"27*": 1}
     assert d.fuse("27", "27*") == {"1": 1}

@@ -322,7 +322,9 @@ def test_wrong_sign_phase_law_is_rejected(pair):
     for i, (rep, a) in enumerate(orbit_positions(good.labels)):
         bad[i] = np.exp(-2j * np.pi * a * colors / n) * good.S[rep]
     with pytest.raises(NumericalIntegrityError):
-        ModularDatum(good.name, good.labels, good.h, good.c, bad, good.conj_perm)
+        ModularDatum(
+            good.name, good.labels, good.h, good.c_num, good.h_den, bad, good.conj_perm
+        )
 
 
 def test_one_determinant_per_pair_of_orbits(monkeypatch):
@@ -389,7 +391,7 @@ def test_wrong_sign_with_current_fails_phase_law(pair):
         bad[i] = np.exp(-2j * np.pi * a * colors / n) * good.S[rep]
     with pytest.raises(NumericalIntegrityError, match=r"phase_law residual \d"):
         ModularDatum(
-            good.name, good.labels, good.h, good.c, bad, good.conj_perm,
+            good.name, good.labels, good.h, good.c_num, good.h_den, bad, good.conj_perm,
             current_perm=good.current_perm,
         )
 
@@ -408,7 +410,7 @@ def test_current_that_is_not_simple_is_rejected(swap, message):
     current[[a, b]] = b, a
     with pytest.raises(NumericalIntegrityError, match=message):
         ModularDatum(
-            good.name, good.labels, good.h, good.c, good.S, good.conj_perm,
+            good.name, good.labels, good.h, good.c_num, good.h_den, good.S, good.conj_perm,
             current_perm=current,
         )
 
