@@ -24,9 +24,11 @@ filters and the map is injective, else PairingError.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .weights import AffineWeight, enumerate_weights
+import numpy as np
+
+from .extensions import congruent_mod1
+from .weights import AffineWeight, enumerate_weights, h_numerators
 
 
 class PairingError(RuntimeError):
@@ -97,20 +99,24 @@ class PairingTable:
         return len(self.pairs)
 
 
-def _congruent(w, dual, h_ambient):
-    return (w.conformal_weight() + dual.conformal_weight() - h_ambient) % 1 == 0
+def _congruent(ws, images, m, n, ell):
+    """h(w) + h(image) = h(ell) = ell(mn - ell) / 2mn (mod 1), per pair."""
+    def codes(xs, r):  # numerators of h over 2r(m+n)
+        return h_numerators(np.array([x.labels for x in xs]).reshape(-1, r - 1), r)
+
+    den = 2 * m * n
+    total = (codes(ws, m) * n + codes(images, n) * m).tolist()  # over den (m + n)
+    return [congruent_mod1(t, den * (m + n), ell * (m * n - ell), den) for t in total]
 
 
-def _twist_candidates(w, n, ell, h_ambient):
+def _twist_candidates(w, n, ell):
     base = dual_weight(w)
     out = []
     for t in range(n):
         image = base.simple_current(t)
-        if image.color != ell % n or image in out:
-            continue
-        if _congruent(w, image, h_ambient):
+        if image.color == ell % n and image not in out:
             out.append(image)
-    return out
+    return [x for x, ok in zip(out, _congruent([w] * len(out), out, w.n, n, ell)) if ok]
 
 
 def branching_pairs(m, n, level_one_label=0):
@@ -123,21 +129,20 @@ def branching_pairs(m, n, level_one_label=0):
     if m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got ({m}, {n})")
     ell = level_one_label % (m * n)
-    h_ambient = Fraction(ell * (m * n - ell), 2 * m * n)
     domain = [w for w in enumerate_weights(m, n) if w.color == ell % m]
 
     table = PairingTable(m, n, ell)
     if ell == 0:
-        for w in domain:
-            image = transpose_weight(w).simple_current(-(box_count(w) // m))
-            if image.color != 0 or not _congruent(w, image, h_ambient):
+        images = [transpose_weight(w).simple_current(-(box_count(w) // m)) for w in domain]
+        for w, image, ok in zip(domain, images, _congruent(domain, images, m, n, 0)):
+            if image.color != 0 or not ok:
                 raise PairingError(
                     f"({m},{n}): canonical partner of {w} fails the congruence"
                 )
             table.pairs[w] = image
     else:
         for w in domain:
-            cands = _twist_candidates(w, n, ell, h_ambient)
+            cands = _twist_candidates(w, n, ell)
             if not cands:
                 raise PairingError(
                     f"({m},{n}) sector {ell}: no consistent partner for {w}"

@@ -296,7 +296,8 @@ class ModularDatum:
     def fuse(self, a, b):
         """Fusion product as a {label: multiplicity} dict."""
         coeffs = self.fusion_coeffs(a, b)
-        return {self.labels[i]: int(m) for i, m in enumerate(coeffs) if m}
+        nonzero = np.flatnonzero(coeffs).tolist()
+        return dict(zip([self.labels[i] for i in nonzero], coeffs[nonzero].tolist()))
 
     # -- validation --------------------------------------------------------
 

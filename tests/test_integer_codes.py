@@ -2,7 +2,8 @@
 
 Property tests of the SU(n)_k numerators, a negative control for each
 integer-congruence check (pinned to its witness text), a guard that the
-exact paths build no Fraction, and the T phase reduction.
+exact paths (the level-rank pairings among them) build no Fraction, and
+the T phase reduction.
 """
 
 import json
@@ -17,6 +18,7 @@ from test_modular import SMALL_THEORIES, levels_up_to
 
 import holonet.verifier as verifier
 from holonet.catalogs import (
+    CATALOG_INCLUSIONS,
     CatalogError,
     _parse_catalog,
     _reading,
@@ -196,3 +198,5 @@ def test_exact_paths_build_no_fraction(monkeypatch):
             monkeypatch, lambda: quadratic_form_consistency(h_map, mul)
         )
         assert count == 0, entry
+        m, n, _ = CATALOG_INCLUSIONS[cfg["catalog"]]
+        assert fractions_built(monkeypatch, lambda: vacuum_pairing(m, n)) == 0, (m, n)

@@ -11,7 +11,7 @@ from holonet.catalogs import CatalogError
 from holonet.extensions import find_local_system, simple_current_spectrum
 from holonet.level_one import level_one_datum
 from holonet.modular import SectorVector, sun_datum
-from holonet.products import tensor_product
+from holonet.products import ProductTheory, tensor_product
 from holonet.reporting import report_emit
 from holonet.verifier import (
     build_entry,
@@ -171,6 +171,36 @@ def test_perturbation_residuals_random_vectors(seed):
     spectrum = SectorVector(prod, dict(zip(prod.labels, mults.tolist())))
     cons = SimpleNamespace(wzw_product=prod, spectrum=spectrum)
     assert perturbation_residuals(cons) == per_column_floor(prod, spectrum.as_vector())
+
+
+# seeds 40 ... 2706 are the cases of a 3000-seed sweep in which a bound
+# that prunes 0.05 too eagerly changes the floor
+@pytest.mark.parametrize(
+    "seed", [*range(6), 40, 308, 316, 1174, 1200, 1334, 1522, 1770, 2272, 2660, 2706]
+)
+def test_perturbation_residuals_sparse_spectra(seed):
+    rng = np.random.default_rng(seed)
+    factors = [
+        sun_datum(3, 2), sun_datum(2, 3), level_one_datum("su2_1"), level_one_datum("su3_1")
+    ]
+    picks = rng.integers(0, len(factors), size=2 + seed % 2)
+    prod = tensor_product(*(factors[i] for i in picks))
+    mults = rng.integers(1, 3, size=prod.size) * (rng.random(prod.size) < 0.2)
+    mults[0] += 1
+    spectrum = SectorVector(prod, dict(zip(prod.labels, mults.tolist())))
+    cons = SimpleNamespace(wzw_product=prod, spectrum=spectrum)
+    assert perturbation_residuals(cons) == per_column_floor(prod, spectrum.as_vector())
+
+
+@pytest.mark.parametrize("entry", [40, 27, 18])
+def test_perturbation_residuals_build_few_blocks(entry, constructions, monkeypatch):
+    built = []
+    s_block = ProductTheory.s_block
+    monkeypatch.setattr(
+        ProductTheory, "s_block", lambda self, a: built.append(a) or s_block(self, a)
+    )
+    perturbation_residuals(constructions[entry])
+    assert 1 <= len(built) <= 2
 
 
 def test_perturbation_residuals_hold_few_blocks(constructions):
