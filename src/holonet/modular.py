@@ -8,12 +8,16 @@ pairs of simple-current orbit representatives get a determinant, R^2 for R
 orbits of J; the rest of S is filled exactly from the phase laws
 S[J^a x, y] = exp(+2*pi*i*a*color(y)/n) S[x, y] on rows and, by symmetry,
 S[x, J^b y] = exp(+2*pi*i*b*color(x)/n) S[x, y] on columns (Schellekens and
-Yankielowicz 1990).  `ModularDatum.validate` checks the symmetry, the
-conjugation and the phase law of J on every entry, and the products S^2 and
-STS on the columns of the orbit representatives only; the phase law carries
-that check to every other column.  The normalization constant is not taken
-from a closed form: its modulus is fixed by unitarity and its phase by
-positivity of the vacuum row.
+Yankielowicz 1990).  The determinant entries are read from a table of
+R*n*kappa root-of-unity powers, and the fill takes one phase row per
+(J-power, orbit color) key, at most n^2 rows; no N x N integer index array
+is formed.  `ModularDatum.validate` checks the symmetry, the conjugation
+and the phase law of J on every entry, one band of rows at a time with no
+N x N temporary, and the products S^2 and STS on the columns of the orbit
+representatives only; the phase law carries that check to every other
+column.  The normalization constant is not taken from a closed form: its
+modulus is fixed by unitarity and its phase by positivity of the vacuum
+row.
 """
 
 from fractions import Fraction
@@ -21,7 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .weights import enumerate_weights, h_numerators, lex_positions, simple_current_table
+from .weights import (
+    enumerate_weights,
+    h_numerators,
+    lex_positions,
+    partitions,
+    simple_current_table,
+)
 
 UNITARITY_TOL = 1e-9
 MODULAR_TOL = 1e-8
@@ -46,11 +56,16 @@ def central_charge(n, k):
 def _shifted_coordinates(lab):
     """Strictly decreasing coordinates l_i = p_i + (n - i) of lambda + rho.
 
-    `lab` holds Dynkin labels, one row per weight; p_i = lambda_i + ... +
-    lambda_{n-1} are the partition coordinates, with p_n = 0.
+    `lab` holds Dynkin labels, one row per weight; p are the partition
+    coordinates, with p_n = 0.
     """
-    part = np.pad(np.cumsum(lab[:, ::-1], axis=1)[:, ::-1], ((0, 0), (0, 1)))
+    part = np.pad(partitions(lab), ((0, 0), (0, 1)))
     return part + np.arange(lab.shape[1], -1, -1)
+
+
+def _bands(size):
+    """Slices of 64 rows that cover range(size): a band of S stays in cache."""
+    return [slice(lo, lo + 64) for lo in range(0, size, 64)]
 
 
 def s_matrix(n, k, lab=None):
@@ -63,22 +78,29 @@ def s_matrix(n, k, lab=None):
     the construction below fills.
 
     Entry (x, y) is exp(2*pi*i*|l||m|/(n*kappa)) * det[exp(-2*pi*i*l_i*m_j/kappa)]
-    with kappa = k + n and l, m the shifted coordinates of x and y.  Only the
-    representatives of the simple-current orbits (the first weight of each
-    orbit in the list) get a determinant: R^2 of them for R orbits, e.g.
-    99^2 instead of 792^2 at SU(8)_5.  Every other entry follows exactly from
-    the phase law of J and the symmetry of S.  For x = J^a r and y = J^b s
-    with r, s representatives and w = exp(+2*pi*i/n),
+    with kappa = k + n and l, m the shifted coordinates of x and y, all in
+    [0, kappa).  Only the representatives of the simple-current orbits (the
+    first weight of each orbit in the list) get a determinant: R^2 of them
+    for R orbits, e.g. 99^2 instead of 792^2 at SU(8)_5.  Their entries are
+    read from one power table, powers[r, i, m] = exp(-2*pi*i*(l_ri*m mod
+    kappa)/kappa) with R*n*kappa entries, at m = l_sj.  Every other entry
+    follows exactly from the phase law of J and the symmetry of S.  For
+    x = J^a r and y = J^b s with r, s representatives and w = exp(+2*pi*i/n),
 
         S[J^a r, y] = w^(a * color(y)) * S[r, y]      (rows)
         S[r, J^b s] = w^(b * color(r)) * S[r, s]      (columns)
 
     so S[x, y] = w^(a * color(y) + b * color(r)) * S[r, s].  With w^-1 in
     place of w the filled matrix fails validation.  On a short orbit any a
-    with J^a r = x gives the same entry.  The matrix is then globally rescaled to a unitary matrix with
-    positive vacuum row.  All phase arguments are reduced in integer
-    arithmetic (mod kappa, n*kappa and n) before exponentiation, so every
-    entry is an exact sum of roots of unity up to double rounding.
+    with J^a r = x gives the same entry.  The phase of row x depends on x
+    only through its key (a, color(r)), so a table of one phase row per
+    key (at most n^2 of them) serves every row; S is filled one band of
+    rows at a time, the orbit block taken along rows and columns, then
+    multiplied by the phase row of each key.  The matrix is then globally
+    rescaled to a unitary matrix with positive vacuum row.  All phase
+    arguments are reduced in integer arithmetic (mod kappa, n*kappa and n)
+    before exponentiation, so every entry is an exact sum of roots of unity
+    up to double rounding.
     """
     if lab is None:
         lab = np.array([w.labels for w in enumerate_weights(n, k)], dtype=np.int64)
@@ -93,21 +115,29 @@ def s_matrix(n, k, lab=None):
 
     coords = _shifted_coordinates(lab[reps])
     root = np.exp(-2j * np.pi * np.arange(kappa) / kappa)
+    powers = root[coords[:, :, None] * np.arange(kappa) % kappa]
     block = np.empty((orbits, orbits), dtype=complex)
     chunk = max(1, (1 << 21) // (orbits * n * n))
     for lo in range(0, orbits, chunk):
-        rows = coords[lo : lo + chunk]
-        prod = (rows[:, None, :, None] * coords[None, :, None, :]) % kappa
-        block[lo : lo + chunk] = np.linalg.det(root[prod])
+        entries = np.take(powers[lo : lo + chunk], coords, axis=2)  # [r, i, s, j]
+        block[lo : lo + chunk] = np.linalg.det(entries.transpose(0, 2, 1, 3))
+    del entries  # R^2 n^2 entries, not held while S is filled
     tot = coords.sum(axis=1)
     mod = n * kappa
     pre = np.exp(2j * np.pi * np.arange(mod) / mod)
     block *= pre[(tot[:, None] * tot[None, :]) % mod]
 
+    # row key a * n + color(r); phase[key, y] = w^(a * color(y) + b(y) * color(r))
+    keys, key_of = np.unique(power * n + color[rep], return_inverse=True)
+    turn = (keys[:, None] // n * color + keys[:, None] % n * power) % n
+    phase = np.exp(2j * np.pi * np.arange(n) / n)[turn]
     orbit = np.searchsorted(reps, rep)
-    turn = (power[:, None] * color[None, :] + color[rep][:, None] * power[None, :]) % n
-    raw = block[orbit[:, None], orbit[None, :]]
-    raw *= np.exp(2j * np.pi * np.arange(n) / n)[turn]
+    raw = np.empty((big, big), dtype=complex)
+    for band in _bands(big):
+        out = raw[band]
+        # orbit is in range; mode="clip" writes to `out` without a buffer
+        np.take(block[orbit[band]], orbit, axis=1, out=out, mode="clip")
+        out *= phase[key_of[band]]
     scale = np.sqrt(np.einsum("ij,ij->", raw, raw.conj()).real / big)
     raw /= scale
     z = raw[0, 0]
@@ -306,7 +336,9 @@ class ModularDatum:
 
         Exact checks come first: h(vacuum) = 0, C is an involution that
         keeps every conformal weight (so T C = C T), J is a permutation and
-        C = J C J.  Then three O(N^2) elementwise residuals, measured:
+        C = J C J.  Then three O(N^2) elementwise residuals, measured one
+        band of rows at a time (`_elementwise_residuals`), with no N x N
+        temporary:
 
           phase_law     max |S[Jx, y] - e(Q(y)) S[x, y]|, where the charge
                         Q(y) = h(J0) + h(y) - h(Jy) mod 1 is read off the
@@ -360,20 +392,7 @@ class ModularDatum:
             )
 
         t = self.t_diagonal()
-        r = {}
-        diff = S[cur]
-        diff *= (t[cur[0]] / t[0] * t / t[cur]).conj()
-        diff -= S
-        r["phase_law"] = np.abs(diff).max()
-        np.subtract(S, S.T, out=diff)
-        r["symmetry"] = np.abs(diff).max()
-        diff = S[conj]
-        np.conjugate(diff, out=diff)
-        diff -= S
-        r["conjugation"] = np.abs(diff).max()
-        sq = np.abs(S)
-        sq *= sq
-        rho = np.sqrt(max(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+        r, rho = _elementwise_residuals(S, cur, conj, t)
 
         # The lowest label on each orbit of J, and the longest orbit L.
         low, image, longest = identity.copy(), cur.copy(), 1
@@ -411,6 +430,42 @@ class ModularDatum:
 
     def __repr__(self):
         return f"ModularDatum({self.name}, {self.size} labels)"
+
+
+def _elementwise_residuals(S, cur, conj, t):
+    """The phase_law, symmetry and conjugation residuals of `validate`, and rho.
+
+    Each is the maximum over bands of 64 rows of the same entrywise
+    difference a whole-matrix pass would form, so the values are the same
+    floats.  S - S^T is antisymmetric, so `symmetry` reads only the bands
+    on and above the diagonal.  rho is the largest row or column 2-norm;
+    the squared column norms are summed one row after another, the order
+    in which numpy sums a whole matrix along its first axis.
+    """
+    size = len(S)
+    law = (t[cur[0]] / t[0] * t / t[cur]).conj()
+    bands = _bands(size)
+    peaks = np.empty((len(bands), 4))
+    col_sq = np.zeros(size)
+    for peak, band in zip(peaks, bands):
+        diff = S[cur[band]]
+        diff *= law
+        diff -= S[band]
+        peak[0] = np.abs(diff).max()
+        lo = band.start
+        peak[1] = np.abs(S[band, lo:] - S[lo:, band].T).max()
+        diff = S[conj[band]]
+        np.conjugate(diff, out=diff)
+        diff -= S[band]
+        peak[2] = np.abs(diff).max()
+        sq = np.abs(S[band])
+        sq *= sq
+        peak[3] = sq.sum(axis=1).max()
+        for row in sq:
+            col_sq += row
+    phase_law, symmetry, conjugation, row_sq = peaks.max(axis=0)
+    rho = np.sqrt(max(col_sq.max(), row_sq))
+    return {"phase_law": phase_law, "symmetry": symmetry, "conjugation": conjugation}, rho
 
 
 @lru_cache(maxsize=None)

@@ -102,17 +102,27 @@ def enumerate_weights(n, k):
     return out
 
 
+def partitions(lab):
+    """Partition coordinates p_i = lambda_i + ... + lambda_{n-1}, one row per weight.
+
+    `lab` holds Dynkin labels, one row per weight; the n-th coordinate,
+    p_n = 0, is left out.
+    """
+    return np.cumsum(lab[:, ::-1], axis=1)[:, ::-1]
+
+
 def h_numerators(lab, n):
     """Conformal weights of SU(n)_k as integer numerators over 2n(k+n).
 
     `lab` holds Dynkin labels, one row per weight.  h = (lambda, lambda +
-    2 rho) / 2(k+n), and n (lambda, lambda + 2 rho) = lambda M lambda^T +
-    n sum_j j(n-j) lambda_j with M_ij = min(i, j)(n - max(i, j)), n times
-    the inverse Cartan matrix.
+    2 rho) / 2(k+n), and in the partition coordinates p of `partitions`,
+    n (lambda, lambda + 2 rho) = n sum p_i^2 - (sum p_i)^2 + n sum (n + 1 -
+    2i) p_i, which costs O(n) per weight.
     """
-    j = np.arange(1, n)
-    M = np.minimum.outer(j, j) * (n - np.maximum.outer(j, j))
-    return ((lab @ M) * lab).sum(axis=1) + lab @ (n * j * (n - j))
+    p = partitions(lab)
+    total = p.sum(axis=1)
+    i = np.arange(1, n)
+    return n * (p * p).sum(axis=1) - total * total + p @ (n * (n + 1 - 2 * i))
 
 
 def simple_current_table(ext):

@@ -38,7 +38,7 @@ from holonet.level_one import level_one_datum
 from holonet.level_rank import vacuum_pairing
 from holonet.modular import SectorVector, sun_datum
 from holonet.products import tensor_product
-from holonet.weights import AffineWeight, h_numerators
+from holonet.weights import AffineWeight, enumerate_weights, h_numerators
 
 W = AffineWeight
 
@@ -65,6 +65,28 @@ def test_numerators_are_the_conformal_weights(pair):
         h = Fraction(int(num), datum.h_den)
         assert h == w.conformal_weight() == reference_weight(w)
         assert datum.h_code(w) == num % datum.h_den
+
+
+def matrix_h_numerators(lab, n):
+    """Reference: lambda M lambda^T + n sum_j j(n-j) lambda_j, with M_ij =
+    min(i, j)(n - max(i, j)) n times the inverse Cartan matrix; O(n^2) per weight."""
+    j = np.arange(1, n)
+    M = np.minimum.outer(j, j) * (n - np.maximum.outer(j, j))
+    return ((lab @ M) * lab).sum(axis=1) + lab @ (n * j * (n - j))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES))
+def test_numerators_match_the_matrix_formula(pair):
+    n, k = pair
+    lab = np.array([w.labels for w in enumerate_weights(n, k)], dtype=np.int64)
+    assert np.array_equal(h_numerators(lab, n), matrix_h_numerators(lab, n))
+
+
+def test_numerators_match_the_matrix_formula_at_rank_499():
+    # the shape of the SU(499)_2 partner array of vacuum_pairing(2, 499)
+    lab = np.random.default_rng(499).integers(0, 3, size=(250, 498))
+    assert np.array_equal(h_numerators(lab, 499), matrix_h_numerators(lab, 499))
 
 
 @settings(max_examples=25, deadline=None)

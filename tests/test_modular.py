@@ -1,3 +1,4 @@
+import copy
 from math import comb
 import tracemalloc
 
@@ -18,7 +19,9 @@ from holonet.modular import (
     s_matrix,
     sun_datum,
 )
-from holonet.weights import AffineWeight, enumerate_weights
+from holonet.weights import AffineWeight, enumerate_weights, simple_current_table
+
+from conftest import WZW_CASES
 
 RNG_SEED = 20240811
 
@@ -327,6 +330,74 @@ def test_wrong_sign_phase_law_is_rejected(pair):
         )
 
 
+def reference_orbit_s_matrix(n, k):
+    """Reference: the orbit construction with an N x N index array for the fill.
+
+    The determinant entries come from an outer product of shifted
+    coordinates reduced mod kappa, and the phase of entry (x, y) from the
+    N x N integer array turn = a(x) color(y) + color(r(x)) b(y) mod n.
+    """
+    ws = enumerate_weights(n, k)
+    lab = np.array([w.labels for w in ws], dtype=np.int64)
+    big = len(lab)
+    kappa = k + n
+    color = lab @ np.arange(1, n) % n
+    jtab = simple_current_table(np.column_stack([k - lab.sum(axis=1), lab]))
+    rep = jtab.min(axis=0)
+    power = (jtab[:, rep] == np.arange(big)).argmax(axis=0)
+    reps = np.flatnonzero(rep == np.arange(big))
+    part = np.array([ws[r].partition for r in reps], dtype=np.int64)
+    coords = part + np.arange(n - 1, -1, -1, dtype=np.int64)
+    root = np.exp(-2j * np.pi * np.arange(kappa) / kappa)
+    prod = (coords[:, None, :, None] * coords[None, :, None, :]) % kappa
+    block = np.linalg.det(root[prod])
+    tot = coords.sum(axis=1)
+    mod = n * kappa
+    pre = np.exp(2j * np.pi * np.arange(mod) / mod)
+    block *= pre[(tot[:, None] * tot[None, :]) % mod]
+    orbit = np.searchsorted(reps, rep)
+    turn = (power[:, None] * color[None, :] + color[rep][:, None] * power[None, :]) % n
+    raw = block[orbit[:, None], orbit[None, :]]
+    raw *= np.exp(2j * np.pi * np.arange(n) / n)[turn]
+    scale = np.sqrt(np.einsum("ij,ij->", raw, raw.conj()).real / big)
+    raw /= scale
+    z = raw[0, 0]
+    raw *= z.conjugate() / abs(z)
+    return raw, jtab[1]
+
+
+def assert_same_s_bits(n, k):
+    S, current = s_matrix(n, k)
+    ref, ref_current = reference_orbit_s_matrix(n, k)
+    assert np.array_equal(S.view(float), ref.view(float)), (n, k)
+    assert np.array_equal(current, ref_current), (n, k)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES))
+def test_s_matrix_bits_match_index_array_reference(pair):
+    assert_same_s_bits(*pair)
+
+
+# the perfbench sun_sweep ladder, then the six theories of the paper
+@pytest.mark.parametrize("pair", [(6, 4), (10, 3), (12, 3), (6, 6), (8, 5)] + WZW_CASES)
+def test_s_matrix_bits_match_index_array_reference_at_scale(pair):
+    assert_same_s_bits(*pair)
+
+
+def test_s_matrix_memory_is_bounded():
+    lab = np.array([w.labels for w in enumerate_weights(8, 5)], dtype=np.int64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        S, _ = s_matrix(8, 5, lab)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # S and the conjugate copy its normalization reads, and no N x N index array
+    assert peak <= 2.5 * S.nbytes
+
+
 def test_one_determinant_per_pair_of_orbits(monkeypatch):
     det = np.linalg.det
     count = 0
@@ -424,4 +495,142 @@ def test_validate_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * datum.S.nbytes
+    assert peak <= datum.S.nbytes
+
+
+def whole_matrix_residuals(S, cur, conj, t):
+    """Reference: the elementwise residuals and rho from whole N x N arrays."""
+    r = {}
+    diff = S[cur]
+    diff *= (t[cur[0]] / t[0] * t / t[cur]).conj()
+    diff -= S
+    r["phase_law"] = np.abs(diff).max()
+    np.subtract(S, S.T, out=diff)
+    r["symmetry"] = np.abs(diff).max()
+    diff = S[conj]
+    np.conjugate(diff, out=diff)
+    diff -= S
+    r["conjugation"] = np.abs(diff).max()
+    sq = np.abs(S)
+    sq *= sq
+    rho = np.sqrt(max(sq.sum(axis=0).max(), sq.sum(axis=1).max()))
+    return r, rho
+
+
+def assert_band_residuals_match_whole_matrix(datum):
+    reference = copy.copy(datum)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "_elementwise_residuals", whole_matrix_residuals)
+        reference.validate()
+    assert datum.residuals.keys() == reference.residuals.keys()
+    for key, value in datum.residuals.items():
+        assert value == reference.residuals[key], (datum.name, key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES))
+def test_band_residuals_match_whole_matrix(pair):
+    assert_band_residuals_match_whole_matrix(sun_datum(*pair))
+
+
+def test_level_one_band_residuals_match_whole_matrix():
+    for kind in LEVEL_ONE_TABLES:
+        assert_band_residuals_match_whole_matrix(level_one_datum(kind))
+
+
+@pytest.mark.parametrize("k", [63, 64, 100, 200])  # 64, 65, 101 and 201 labels
+def test_band_residuals_match_whole_matrix_across_band_edges(k):
+    assert_band_residuals_match_whole_matrix(sun_datum(2, k))
+
+
+# -- one negative control per validate check ------------------------------------
+
+
+def symmetric_copy(datum):
+    """A copy of `datum` with S exactly symmetric and J the identity."""
+    out = copy.copy(datum)
+    out.S = (datum.S + datum.S.T) / 2
+    out.current_perm = np.arange(datum.size)
+    return out
+
+
+def asymmetry(i, j):
+    """S[i, j] and S[j, i] put on a 2^-20 grid, then S[i, j] raised by 2^-10."""
+
+    def mutate(datum):
+        datum = symmetric_copy(datum)
+        value = np.round(datum.S[j, i].real * 2**20) / 2**20
+        datum.S[j, i] = value
+        datum.S[i, j] = value + 2.0**-10
+        return datum
+
+    return mutate
+
+
+def conjugation_fault(datum):
+    datum = symmetric_copy(datum)
+    datum.S[5, 5] += 1e-3j  # S stays symmetric; row 5 alone differs from conj(S[C 5])
+    return datum
+
+
+def phase_law_fault(datum):
+    datum = copy.copy(datum)
+    image = datum.current_perm[1]  # J applied to a weight that is not the vacuum
+    datum.S = datum.S.copy()
+    datum.S[image, 1:] += 1e-3
+    return datum
+
+
+def vacuum_sign_fault(datum):
+    datum = copy.copy(datum)
+    datum.S = datum.S.copy()
+    datum.S[0, 3] *= -1
+    return datum
+
+
+def vacuum_weight_fault(datum):
+    datum = copy.copy(datum)
+    datum.h = datum.h.copy()
+    datum.h[0] = 1
+    return datum
+
+
+def conjugation_not_involution(datum):
+    datum = copy.copy(datum)
+    datum.conj_perm = datum.conj_perm.copy()
+    datum.conj_perm[[1, 2, 3]] = 2, 3, 1
+    return datum
+
+
+def current_not_permutation(datum):
+    datum = copy.copy(datum)
+    datum.current_perm = datum.current_perm.copy()
+    datum.current_perm[1] = datum.current_perm[2]
+    return datum
+
+
+# SU(2)_100 has 101 labels: rows 0-63 are the first band, 64-100 the last
+VALIDATE_CONTROLS = [
+    ("symmetry-first-band", (2, 100), asymmetry(1, 2), r"symmetry residual"),
+    ("symmetry-last-band", (2, 100), asymmetry(70, 100), r"symmetry residual"),
+    ("symmetry-below-diagonal", (2, 100), asymmetry(90, 3), r"symmetry residual"),
+    ("conjugation", (2, 100), conjugation_fault, r"conjugation residual"),
+    ("phase-law", (3, 4), phase_law_fault, r"phase_law residual"),
+    ("vacuum-row-sign", (3, 4), vacuum_sign_fault, r"vacuum row not positive"),
+    ("vacuum-weight", (3, 4), vacuum_weight_fault, r"vacuum weight 1/42 != 0"),
+    ("C-involution", (2, 100), conjugation_not_involution, r"not an involution"),
+    ("J-permutation", (3, 4), current_not_permutation, r"J is not a permutation"),
+]
+
+
+@pytest.mark.parametrize(
+    "pair, mutate, message",
+    [row[1:] for row in VALIDATE_CONTROLS],
+    ids=[row[0] for row in VALIDATE_CONTROLS],
+)
+def test_each_validate_check_has_a_negative_control(pair, mutate, message):
+    datum = mutate(sun_datum(*pair))
+    with pytest.raises(NumericalIntegrityError, match=message):
+        datum.validate()
+    if message == "symmetry residual":
+        assert datum.residuals["symmetry"] == 2.0**-10
