@@ -4,7 +4,11 @@ catalog and verify.
 Exit codes: 0 all checks pass, 1 a verification failed, 2 usage or data
 error.  Theory products are written as factor tokens joined by 'x', e.g.
 "cat:su10_2 x su5_1 x spin7_1"; tuple labels join their components with
-':' (WZW weights keep their comma form inside a component).
+':' (WZW weights keep their comma form inside a component).  A 'cat:'
+token loads a bundled catalog; every other token, and the theory that
+modular-data forms from --algebra/--rank/--level, is resolved by
+`level_one.theory_datum`, the one parser of the token grammar.  An SU(n)_k
+whose S would exceed `modular.MAX_S_BYTES` is refused with exit 2.
 """
 
 import argparse
@@ -14,9 +18,8 @@ import sys
 
 from .catalogs import CatalogError, catalog, inclusion_table, verify_catalog
 from .extensions import LocalityError, coupling_matrix, find_local_system, verify_coupling
-from .level_one import level_one_datum
+from .level_one import theory_datum
 from .level_rank import PairingError, branching_pairs, dual_weight, transpose_weight
-from .modular import sun_datum
 from .products import ProductTheory, tensor_product
 from .reporting import report_emit
 from .verifier import verify_all, verify_entry
@@ -64,9 +67,10 @@ def main_modular_data(argv=None):
         "--with-s", action="store_true", help="include S as [re, im] pairs"
     )
     args = parser.parse_args(argv)
+    size = "" if args.rank is None or args.algebra == "e6" else args.rank
     try:
-        datum = _resolve_datum(args.algebra, args.rank, args.level)
-    except (ValueError, CatalogError) as exc:
+        datum = theory_datum(f"{args.algebra}{size}_{args.level}")
+    except ValueError as exc:
         return _fail(exc)
 
     payload = {
@@ -92,22 +96,6 @@ def main_modular_data(argv=None):
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     return 0
-
-
-def _resolve_datum(algebra, rank, level):
-    if algebra == "su":
-        if rank is None:
-            raise ValueError("--rank is required for su")
-        if level == 1:
-            return level_one_datum(f"su{rank}_1")
-        return sun_datum(rank, level)
-    if level != 1:
-        raise ValueError(f"{algebra} data is table-driven at level 1 only")
-    if algebra == "spin":
-        if rank is None:
-            raise ValueError("--rank (meaning N) is required for spin")
-        return level_one_datum(f"spin{rank}_1")
-    return level_one_datum("e6_1")
 
 
 # ----------------------------------------------------------------------
@@ -163,20 +151,11 @@ def main_level_rank(argv=None):
 # local-system
 # ----------------------------------------------------------------------
 
-_TOKEN = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")
-
-
 def _resolve_factor(token):
     token = token.strip()
     if token.startswith("cat:"):
         return catalog(token[4:])
-    m = _TOKEN.match(token)
-    if not m:
-        raise ValueError(f"cannot parse theory token {token!r}")
-    family, size, level = m.groups()
-    if family == "su" and int(level) > 1:
-        return sun_datum(int(size), int(level))
-    return level_one_datum(f"{family}{size}_{level}")
+    return theory_datum(token)
 
 
 def _resolve_theory(spec):

@@ -8,7 +8,8 @@ Every theory gives h mod 1 as an integer code over its denominator D
 check is an integer congruence mod D on weights of currents and labels,
 with no tolerance; a Fraction is built only for a witness.  Only scalar
 monodromies are supported: the acting label must be a simple current
-(dimension 1), so composition with it is a permutation of the irreducibles.
+(dimension 1), so composition with it is a permutation of the irreducibles,
+and locality is tested against one label at a time.
 """
 
 import itertools
@@ -48,27 +49,19 @@ def current_image(theory, current, label):
     return next(iter(prod))
 
 
-def monodromy_trivial(theory, current, other):
-    """Scalar locality test of a simple current against a (sum of) label(s).
+def monodromy_trivial(theory, current, label):
+    """Scalar locality test of a simple current against one label.
 
-    True iff h(current x comp) = h(current) + h(comp) (mod 1) exactly for
-    every irreducible component.
+    True iff h(current x label) = h(current) + h(label) (mod 1) exactly.
     """
     if not is_simple_current(theory, current):
         raise LocalityError(
             f"monodromy test needs a dimension-1 label, got {current!r} "
             f"with dim {theory.dim(current):.8f}"
         )
-    if isinstance(other, SectorVector):
-        components = list(other.mult)
-    else:
-        components = [other]
-    code, den = theory.h_code, theory.h_den
-    hc = code(current)
-    for label in components:
-        if (code(current_image(theory, current, label)) - hc - code(label)) % den:
-            return False
-    return True
+    code = theory.h_code
+    image = current_image(theory, current, label)
+    return (code(image) - code(current) - code(label)) % theory.h_den == 0
 
 
 @dataclass
@@ -101,15 +94,6 @@ class LocalSystem:
                 seen.append(image)
         idx = self.theory.index
         return sorted(seen, key=idx.__getitem__)
-
-    def monodromy_charges(self, label):
-        """Exact charge q(g) = h(g.label) - h(g) - h(label) mod 1, per g."""
-        th = self.theory
-        hl = th.h_mod1(label)
-        return {
-            g: (th.h_mod1(current_image(th, g, label)) - th.h_mod1(g) - hl) % 1
-            for g in self.elements
-        }
 
 
 def find_local_system(theory, generators):
@@ -241,14 +225,10 @@ class BranchingTable:
     base: object
     rows: dict  # ambient label -> SectorVector over base
 
-    def coupling_entries(self):
-        amb = [self.rows[a].as_vector() for a in self.ambient.labels]
-        return np.array(amb)
-
 
 def coupling_matrix(branching):
     """Z = B^T B over the base labels; integer, symmetric, Z[0,0] = 1."""
-    b = branching.coupling_entries()
+    b = np.array([branching.rows[a].as_vector() for a in branching.ambient.labels])
     return (b.T @ b).astype(int)
 
 

@@ -9,6 +9,11 @@ three-label Ising-shaped block.  Conformal weights and central charges are
 tabulated as integer numerators over one denominator per family (2m, 16,
 3).  Every table is validated against the full ModularDatum invariants on
 construction.
+
+This module also owns the theory-token grammar shared by the library and
+the command line: 'su<n>_<k>', 'spin<N>_<k>' and 'e6_<k>'.  `theory_datum`
+resolves a token to SU(n)_k from first principles when k > 1 and to a
+level-1 table otherwise; `level_one_datum` accepts level-1 tokens only.
 """
 
 import re
@@ -17,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .extensions import abelian_table
-from .modular import ModularDatum
+from .modular import ModularDatum, sun_datum
 
 
 def _pointed_datum(name, coords, orders, h, c_num, h_den):
@@ -85,21 +90,35 @@ def e6_level_one():
     return _pointed_datum("e6_1", coords, (3,), [0, 2, 2], 18, 3)
 
 
-_KIND_RE = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")
+_TOKEN = re.compile(r"^(su|spin|e6)(\d*)_(\d+)$")
+
+
+def _parse(token):
+    """Split a theory token 'su<n>_<k>', 'spin<N>_<k>' or 'e6_<k>' (any
+    case) into (family, size, level); size is None for e6."""
+    m = _TOKEN.match(token.strip().lower())
+    if not m or (m.group(1) == "e6") == bool(m.group(2)):
+        raise ValueError(f"cannot parse theory token {token!r}")
+    family, size, level = m.groups()
+    return family, int(size) if size else None, int(level)
 
 
 def level_one_datum(kind):
     """Resolve a token like 'su5_1', 'spin7_1' or 'e6_1' to its datum."""
-    m = _KIND_RE.match(kind.strip().lower())
-    if not m:
-        raise ValueError(f"unsupported level-1 kind {kind!r}")
-    family, size, level = m.group(1), m.group(2), int(m.group(3))
+    family, size, level = _parse(kind)
     if level != 1:
         raise ValueError(f"{kind!r}: only level 1 is table-driven")
     if family == "su":
-        return su_level_one(int(size))
+        return su_level_one(size)
     if family == "spin":
-        return spin_level_one(int(size))
-    if size:
-        raise ValueError(f"unsupported level-1 kind {kind!r}")
+        return spin_level_one(size)
     return e6_level_one()
+
+
+def theory_datum(token):
+    """Resolve any theory token: 'su<n>_<k>' with k > 1 is SU(n)_k computed
+    by `sun_datum`, every other token names a level-1 table."""
+    family, size, level = _parse(token)
+    if family == "su" and level > 1:
+        return sun_datum(size, level)
+    return level_one_datum(token)

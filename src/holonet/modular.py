@@ -31,6 +31,7 @@ from .weights import (
     lex_positions,
     partitions,
     simple_current_table,
+    weight_count,
 )
 
 UNITARITY_TOL = 1e-9
@@ -40,6 +41,8 @@ FUSION_TOL = 1e-6
 # for every pair the verifier asks of its theories, while a long stream of
 # user queries on a large theory holds memory flat instead of growing with it.
 FUSION_CACHE_SIZE = 1024
+# Bytes of complex S that sun_datum may build: 1 GiB, at most 8,192 labels.
+MAX_S_BYTES = 1 << 30
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -169,10 +172,6 @@ class SectorVector:
         idx = self.theory.index
         return sorted(self.mult.items(), key=lambda kv: idx[kv[0]])
 
-    @property
-    def support(self):
-        return [label for label, _ in self.items()]
-
     def total(self):
         return sum(self.mult.values())
 
@@ -205,9 +204,6 @@ class SectorVector:
             and self.theory is other.theory
             and self.mult == other.mult
         )
-
-    def __len__(self):
-        return len(self.mult)
 
     def __repr__(self):
         terms = " + ".join(
@@ -287,9 +283,6 @@ class ModularDatum:
 
     def conj(self, label):
         return self.labels[self.conj_perm[self.index[label]]]
-
-    def univalence(self, label):
-        return np.exp(2j * np.pi * (self.h_code(label) / self.h_den))
 
     def t_diagonal(self):
         """exp(2 pi i (h - c/24)), the phase reduced mod 1 in integers first."""
@@ -470,7 +463,17 @@ def _elementwise_residuals(S, cur, conj, t):
 
 @lru_cache(maxsize=None)
 def sun_datum(n, k):
-    """The SU(n)_k modular datum, computed from first principles and cached."""
+    """The SU(n)_k modular datum, computed from first principles and cached.
+
+    A theory whose S would exceed MAX_S_BYTES is refused with a ValueError
+    before any weight is enumerated.
+    """
+    size = weight_count(n, k) if n > 1 and k > 0 else 0  # else enumeration refuses
+    if 16 * size * size > MAX_S_BYTES:
+        raise ValueError(
+            f"su{n}_{k} has {size:,} labels: its S-matrix needs "
+            f"{16 * size * size:,} bytes, over the {MAX_S_BYTES:,}-byte limit"
+        )
     ws = enumerate_weights(n, k)
     lab = np.array([w.labels for w in ws], dtype=np.int64)
     S, current_perm = s_matrix(n, k, lab)

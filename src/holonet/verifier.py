@@ -85,7 +85,6 @@ class HolomorphicConstruction:
     systems: list
     mu_ledger: list            # (description, exact value after the step)
     c_total: Fraction
-    catalog_spectrum: object   # SectorVector over the catalog product
     spectrum: object           # SectorVector over the WZW base
     notes: list = field(default_factory=list)
 
@@ -228,7 +227,6 @@ def build_entry(entry):
         systems=systems,
         mu_ledger=ledger,
         c_total=wzw.c,
-        catalog_spectrum=spectrum,
         spectrum=final,
         notes=notes,
     )

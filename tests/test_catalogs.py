@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -187,3 +188,15 @@ def test_catalog_dir_change_after_load(tmp_path, monkeypatch):
     monkeypatch.delenv("HOLONET_CATALOG_DIR")
     assert catalog("su10_2") is cat
     assert inclusion_table("su3_9-e6_1") is inc
+
+
+def test_automorphism_closure_fails_with_witness(catalogs):
+    cat = copy.copy(catalogs["su10_2"])
+    cat._fusion = dict(cat._fusion)
+    cat._fusion[("j1", "j2")] = cat._fusion[("j2", "j1")] = {"s0": 1}
+    checks = {c.name: c for c in verify_catalog(cat).checks}
+    assert checks["automorphism-closure"].details == (
+        "j1 x j2 = {'s0': 1}, not one automorphism"
+    )
+    assert not checks["quadratic-form"].passed
+    assert checks["quadratic-form"].details == "needs a closed group"

@@ -260,3 +260,43 @@ def test_catalog_fusion_row_unknown_irrep_exits_2(tmp_path, position):
     assert proc.returncode == 2, proc.stderr
     assert "su8_4.json" in proc.stderr and "unknown irrep 'nope'" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _break_j1_j2_row(replace):
+    def corrupt(payload):
+        rows = payload["fusion"]
+        i = next(i for i, row in enumerate(rows) if row[:2] == ["j1", "j2"])
+        if replace:
+            rows[i][2] = "s0"
+        else:
+            del rows[i]
+
+    return corrupt
+
+
+@pytest.mark.parametrize("replace", [True, False], ids=["row-to-s0", "row-deleted"])
+def test_broken_automorphism_row_fails_closure(tmp_path, replace):
+    env = _corrupt_copy(tmp_path, "su10_2.json", _break_j1_j2_row(replace))
+    proc = _cli(env, "catalog", "--name", "su10_2", "--check")
+    assert proc.returncode == 2, proc.stderr
+    assert "fails invariants" in proc.stderr
+    assert "automorphism-closure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_malformed_theory_token_exits_2(capsys):
+    assert main_local_system(["--theory", "su_2", "--generators", "0"]) == 2
+    assert "cannot parse theory token 'su_2'" in capsys.readouterr().err
+    assert main_modular_data(["--algebra", "su", "--level", "2"]) == 2
+    assert "cannot parse theory token 'su_2'" in capsys.readouterr().err
+
+
+def test_oversized_theory_exits_2(capsys, monkeypatch):
+    def never(n, k):
+        raise AssertionError(f"enumerate_weights({n}, {k}) called")
+
+    monkeypatch.setattr("holonet.modular.enumerate_weights", never)
+    assert main_modular_data(["--rank", "12", "--level", "12"]) == 2
+    assert "su12_12 has 1,352,078 labels" in capsys.readouterr().err
+    assert main_local_system(["--theory", "su12_12 x su2_1", "--generators", "0"]) == 2
+    assert "su12_12 has 1,352,078 labels" in capsys.readouterr().err

@@ -173,17 +173,18 @@ def test_charge_sum_dichotomy(entry40_product, catalogs, level_one_data):
     ]
     for prod, gens in zip(products, generator_sets):
         system = find_local_system(prod, gens)
+        code, den = prod.h_code, prod.h_den
         for label in prod.labels:
-            charges = system.monodromy_charges(label)
+            # q(g) = h(g.label) - h(g) - h(label) mod 1, as a numerator over den
+            charges = {
+                g: (code(current_image(prod, g, label)) - code(g) - code(label)) % den
+                for g in system.elements
+            }
             # q is a homomorphism to Q/Z, exactly
             for g, h in itertools.product(system.elements, repeat=2):
-                assert charges[system.product(g, h)] == (
-                    charges[g] + charges[h]
-                ) % 1
-            total = sum(
-                np.exp(2j * np.pi * float(q)) for q in charges.values()
-            )
-            expected = system.order if all(q == 0 for q in charges.values()) else 0
+                assert charges[system.product(g, h)] == (charges[g] + charges[h]) % den
+            total = sum(np.exp(2j * np.pi * q / den) for q in charges.values())
+            expected = system.order if not any(charges.values()) else 0
             assert abs(total - expected) < 1e-9
 
 

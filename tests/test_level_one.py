@@ -7,6 +7,7 @@ from holonet.level_one import (
     level_one_datum,
     spin_level_one,
     su_level_one,
+    theory_datum,
 )
 from holonet.modular import sun_datum
 
@@ -98,3 +99,17 @@ def test_kind_parsing():
         level_one_datum("g2_1")
     with pytest.raises(ValueError):
         level_one_datum("e6777_1")
+
+
+def test_theory_tokens_share_one_grammar():
+    assert theory_datum("su3_2") is sun_datum(3, 2)
+    assert theory_datum(" SU5_1 ") is su_level_one(5)
+    assert theory_datum("spin7_1") is spin_level_one(7)
+    assert theory_datum("e6_1") is e6_level_one()
+    for bad in ("su_2", "spin_1", "e66_1", "g2_1", "su3_", "su3_1x"):
+        with pytest.raises(ValueError, match=f"cannot parse theory token '{bad}'"):
+            theory_datum(bad)
+        with pytest.raises(ValueError, match=f"cannot parse theory token '{bad}'"):
+            level_one_datum(bad)
+    with pytest.raises(ValueError, match="only level 1 is table-driven"):
+        theory_datum("spin7_2")

@@ -180,13 +180,13 @@ def test_simple_current_fusion_rows(wzw_data):
 def test_univalence_and_quantum_dim(wzw_data):
     datum = wzw_data[(2, 10)]
     vac = datum.vacuum
-    assert datum.univalence(vac) == 1
+    assert datum.h_code(vac) == 0
     assert datum.dim(vac) == 1
     six = AffineWeight(2, 10, (6,))
     assert abs(datum.dim(six) - (2 + np.sqrt(3.0))) < 1e-12
     lam3 = AffineWeight(10, 2, (0, 0, 1, 0, 0, 0, 0, 0, 0))
     w10 = wzw_data[(10, 2)]
-    assert abs(w10.univalence(lam3) - np.exp(2j * np.pi * 77 / 80)) < 1e-12
+    assert w10.h_mod1(lam3) == Fraction(77, 80)
 
 
 def test_fusion_integrity_error():
@@ -634,3 +634,18 @@ def test_each_validate_check_has_a_negative_control(pair, mutate, message):
         datum.validate()
     if message == "symmetry residual":
         assert datum.residuals["symmetry"] == 2.0**-10
+
+
+def test_oversized_theory_refused_before_enumeration(monkeypatch):
+    def never(n, k):
+        raise AssertionError(f"enumerate_weights({n}, {k}) called")
+
+    monkeypatch.setattr(modular, "enumerate_weights", never)
+    with pytest.raises(ValueError, match="su12_12 has 1,352,078 labels: its "
+                       "S-matrix needs 29,249,838,689,344 bytes"):
+        sun_datum(12, 12)
+    # one byte under what SU(13)_3 needs: 16 * 455^2 = 3,312,400 bytes
+    monkeypatch.setattr(modular, "MAX_S_BYTES", 16 * 455**2 - 1)
+    with pytest.raises(ValueError, match="su13_3 has 455 labels: its S-matrix "
+                       "needs 3,312,400 bytes, over the 3,312,399-byte limit"):
+        sun_datum(13, 3)

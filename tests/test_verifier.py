@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from holonet.catalogs import CatalogError
-from holonet.extensions import find_local_system, simple_current_spectrum
+from holonet.extensions import LocalSystem, find_local_system, simple_current_spectrum
 from holonet.level_one import level_one_datum
 from holonet.modular import SectorVector, sun_datum
 from holonet.products import ProductTheory, tensor_product
 from holonet.reporting import report_emit
 from holonet.verifier import (
+    ConstructionError,
     build_entry,
     perturbation_residuals,
     reference_spectrum,
@@ -299,3 +301,59 @@ def test_wzw_base_shapes():
     assert wzw_base(40).shape == (55, 5, 3)
     assert wzw_base(27).shape == (165, 3, 3)
     assert wzw_base(18).shape == (330, 2, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "role, label, witness",
+    [
+        ("twisted", ("j0", "y0", "s"), "not local with ('j1', 'y2', 'v')"),
+        ("twisted", ("j0", "y0", "v"), "<a,a> = 1 != 2"),
+        ("plain", ("s0", "y3", "s"), "not irreducible"),
+        ("plain", ("j0", "y0", "1"), "Z4 alternative not excluded"),
+    ],
+)
+def test_stage_two_rejects_bad_sectors(monkeypatch, role, label, witness):
+    import holonet.verifier as v
+
+    stage = {**v.ENTRY_CONFIGS[40]["second_stage"], role: label}
+    monkeypatch.setitem(v.ENTRY_CONFIGS[40], "second_stage", stage)
+    with pytest.raises(ConstructionError, match=re.escape(witness)):
+        build_entry(40)
+
+
+TWISTED = ("s0", "y3", "s")
+
+
+@pytest.mark.parametrize(
+    "cls, name, patch, witness",
+    [
+        pytest.param(
+            ProductTheory, "mu_exact",
+            lambda real: property(lambda self: 2 * real.fget(self)),
+            "intermediate mu 8 != 4",
+            id="intermediate-mu",
+        ),
+        pytest.param(
+            ProductTheory, "h_mod1",
+            lambda real: lambda self, x: Fraction(1, 3) if x == TWISTED else real(self, x),
+            "stage-2 group inconsistent: h(d1^2) = 0 != 2^2 h(d1) = 1/3",
+            id="klein",
+        ),
+        pytest.param(
+            ProductTheory, "dim",
+            lambda real: lambda self, x: 2 * real(self, x) if x == TWISTED else real(self, x),
+            "sector dimensions (2.000000000, 1.000000000) are not 1",
+            id="sector-dimensions",
+        ),
+        pytest.param(
+            LocalSystem, "orbit",
+            lambda real: lambda self, x: real(self, x)[:-1],
+            "has size 4, inconsistent with <a,a> = 2",
+            id="orbit-size",
+        ),
+    ],
+)
+def test_stage_two_checks_on_patched_theory(monkeypatch, cls, name, patch, witness):
+    monkeypatch.setattr(cls, name, patch(vars(cls)[name]))
+    with pytest.raises(ConstructionError, match=re.escape(witness)):
+        build_entry(40)
