@@ -7,7 +7,8 @@ restrictions to the base SU(n)_k theory, and the stored fusion rows (the
 full automorphism group plus the conjugate pairs of the dimension-sqrt(2)
 family).  Catalogs answer the theory members of ModularDatum, but with
 S = None and h_exact None (only h mod 1 is tabulated); S-dependent
-operations refuse them.
+operations refuse them.  Restriction and branching rows are parsed once,
+into SectorVectors, and bad data raises CatalogError naming the file.
 """
 
 import json
@@ -30,7 +31,12 @@ DIM_TOL = 1e-6
 
 
 class CatalogError(RuntimeError):
-    """Unknown catalog, or a catalog failing its own invariants on load."""
+    """Unknown catalog, or a catalog failing its own invariants on load;
+    `report` holds the failing VerificationReport of the latter, else None."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 # catalog name -> (m, n, inclusion key) of the source conformal inclusion:
@@ -77,7 +83,7 @@ class CatalogIrrep:
         self.dim_sq = Fraction(dim_sq)
         self.h_code = h_code  # h mod 1, a numerator over the catalog's h_den
         self.automorphism = bool(automorphism)
-        self.restriction = restriction
+        self.restriction = restriction  # a SectorVector over the base
 
     @property
     def dim(self):
@@ -121,13 +127,11 @@ class ExtensionCatalog:
 
     @property
     def vacuum(self):
+        vac = self.base.vacuum
         for ir in self.irreps.values():
-            if ir.automorphism and ir.h_code == 0 and self._restricts_to_vacuum(ir):
+            if ir.automorphism and ir.h_code == 0 and vac in ir.restriction.mult:
                 return ir.label
         raise CatalogError(f"{self.key}: no irrep restricts to the base vacuum")
-
-    def _restricts_to_vacuum(self, ir):
-        return any(weight == self.base.vacuum for weight, _ in ir.restriction)
 
     @property
     def size(self):
@@ -166,11 +170,8 @@ class ExtensionCatalog:
             ) from None
 
     def restriction(self, label):
-        """Restriction of a catalog irrep as a SectorVector over the base."""
-        out = SectorVector(self.base)
-        for weight, mult in self.irreps[label].restriction:
-            out.add(weight, mult)
-        return out
+        """Restriction of a catalog irrep as a fresh SectorVector over the base."""
+        return SectorVector(self.base, self.irreps[label].restriction.mult)
 
     def automorphism_labels(self):
         return [l for l in self.labels if self.irreps[l].automorphism]
@@ -185,26 +186,30 @@ class ExtensionCatalog:
         return f"ExtensionCatalog({self.name}, {self.size} irreps)"
 
 
+def _sector_vector(base, terms):
+    """A data-file row of [Dynkin labels, multiplicity] terms as a SectorVector
+    over the SU(n)_k `base`, added term by term, so a repeated weight sums."""
+    n, k = base.vacuum.n, base.vacuum.k
+    vec = SectorVector(base)
+    for labels, mult in terms:
+        vec.add(AffineWeight(n, k, tuple(labels)), int(mult))
+    return vec
+
+
 def _parse_catalog(payload):
     base = sun_datum(payload["base"]["rank"], payload["base"]["level"])
-    n, k = payload["base"]["rank"], payload["base"]["level"]
     hs = [Fraction(rec["h_mod1"]) for rec in payload["irreps"]]
     den = lcm(*(h.denominator for h in hs))
-    irreps = []
-    for rec, h in zip(payload["irreps"], hs):
-        restriction = [
-            (AffineWeight(n, k, tuple(labels)), int(mult))
-            for labels, mult in rec["restriction"]
-        ]
-        irreps.append(
-            CatalogIrrep(
-                rec["label"],
-                rec["dim_sq"],
-                h.numerator * (den // h.denominator) % den,
-                rec["automorphism"],
-                restriction,
-            )
+    irreps = [
+        CatalogIrrep(
+            rec["label"],
+            rec["dim_sq"],
+            h.numerator * (den // h.denominator) % den,
+            rec["automorphism"],
+            _sector_vector(base, rec["restriction"]),
         )
+        for rec, h in zip(payload["irreps"], hs)
+    ]
     return ExtensionCatalog(
         payload["name"], base, payload["mu"], payload["index_sq"],
         irreps, payload["fusion"], den,
@@ -237,7 +242,7 @@ def catalog(name):
     report = verify_catalog(cat)
     if not report.passed:
         names = ", ".join(c.name for c in report.failures())
-        raise CatalogError(f"catalog {name} fails invariants: {names}")
+        raise CatalogError(f"catalog {name} fails invariants: {names}", report)
     return cat
 
 
@@ -250,13 +255,7 @@ def inclusion_table(key):
         rec = payload[key]
         ambient = level_one_datum(rec["ambient"])
         base = sun_datum(rec["base"]["rank"], rec["base"]["level"])
-        n, k = rec["base"]["rank"], rec["base"]["level"]
-        rows = {}
-        for amb_label, terms in rec["rows"].items():
-            vec = SectorVector(base)
-            for labels, mult in terms:
-                vec.add(AffineWeight(n, k, tuple(labels)), int(mult))
-            rows[amb_label] = vec
+        rows = {amb: _sector_vector(base, terms) for amb, terms in rec["rows"].items()}
     if set(rows) != set(ambient.labels):
         raise CatalogError(f"inclusion {key}: rows do not match ambient labels")
     return BranchingTable(key, ambient, base, rows)
@@ -318,7 +317,7 @@ def verify_catalog(cat):
     ok, witness = True, ""
     base = cat.base
     for ir in cat.irreps.values():
-        for weight, _ in ir.restriction:
+        for weight in ir.restriction.mult:
             if not congruent_mod1(base.h_code(weight), base.h_den, ir.h_code, cat.h_den):
                 ok = False
                 witness = (

@@ -290,6 +290,8 @@ def main_catalog(argv=None):
     try:
         cat = catalog(args.name)
     except CatalogError as exc:
+        if args.check and exc.report is not None:
+            _emit(report_emit(exc.report, args.format, reproducible=True), args.out)
         return _fail(exc)
     if args.check:
         report = verify_catalog(cat)

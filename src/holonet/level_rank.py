@@ -4,12 +4,21 @@
 decreasing sequences in {1, ..., m+n} ("complementary slicing of the pie");
 `transpose_weight` is the Young-diagram transpose, a current twist of it.
 
-`branching_pairs` assembles, for one level-1 label of SU(mn), the table of
-partner weights inside that SU(mn)_1 sector.  Any valid partner is a current
-twist of the dual weight, constrained by the n-ality of both sides and the
-exact conformal-weight congruence
+`branching_pairs` assembles, for one level-1 label ell of SU(mn), the table
+of partner weights inside that SU(mn)_1 sector, on label arrays.  A partner
+of w is a current twist J^a v of its transpose v of color ell (mod n) that
+meets the exact conformal-weight congruence
 
-    h(w) + h(partner) = h(level-1 label)   (mod 1).
+    h(w) + h(J^a v) = h(ell) = ell(mn - ell) / 2mn   (mod 1).
+
+The simple-current laws (Schellekens and Yankielowicz 1990) give the color
+and the h numerator over 2n(m+n) of every twist from v and t = color(v):
+
+    color(J^a v) = t + a m   (mod n),
+    code(J^a v) = code(v) + (m+n)(a m (n-1) - 2 a t - m a(a-1))  (mod 2n(m+n)),
+
+so one boolean mask over (w, a) serves every sector.  Off the vacuum, a
+partner exists where exactly one distinct twist passes.
 
 For the vacuum sector those congruences leave a residual twist freedom
 whenever gcd(m, n) > 1, but the partner map is also an isomorphism of the
@@ -27,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extensions import congruent_mod1
-from .weights import AffineWeight, enumerate_weights, h_numerators
+from .weights import AffineWeight, enumerate_weights, h_numerators, partitions
 
 
 class PairingError(RuntimeError):
@@ -55,18 +63,16 @@ def dual_weight(w):
 
 
 def transpose_weight(w):
-    """Young-diagram transpose of an SU(m) level-n weight, in SU(n) level m.
+    """Young-diagram transpose of an SU(m) level-n weight, in SU(n) level m."""
+    return AffineWeight(w.k, w.n, _transpose(np.array([w.labels]), w.k)[0])
 
-    A current twist of `dual_weight`.  Label differences strip the full
-    columns of the transposed diagram implicitly.
-    """
-    m, n = w.n, w.k
-    rows = [x for x in w.partition if x > 0]
-    cols = rows[0] if rows else 0
-    q = [sum(1 for x in rows if x >= i) for i in range(1, cols + 1)]
-    q += [0] * (n - len(q))
-    labels = tuple(q[j] - q[j + 1] for j in range(n - 1))
-    return AffineWeight(n, m, labels)
+
+def _transpose(lab, n):
+    """Young-diagram transposes of SU(m) level-n weights, one row of Dynkin
+    labels each: column i has q_i = #{j : p_j >= i} boxes, and the SU(n)
+    labels are q_i - q_{i+1}, which strips the full columns implicitly."""
+    q = (partitions(lab)[:, :, None] >= np.arange(1, n + 1)).sum(axis=1)
+    return q[:, :-1] - q[:, 1:]
 
 
 def box_count(w):
@@ -99,26 +105,6 @@ class PairingTable:
         return len(self.pairs)
 
 
-def _congruent(ws, images, m, n, ell):
-    """h(w) + h(image) = h(ell) = ell(mn - ell) / 2mn (mod 1), per pair."""
-    def codes(xs, r):  # numerators of h over 2r(m+n)
-        return h_numerators(np.array([x.labels for x in xs]).reshape(-1, r - 1), r)
-
-    den = 2 * m * n
-    total = (codes(ws, m) * n + codes(images, n) * m).tolist()  # over den (m + n)
-    return [congruent_mod1(t, den * (m + n), ell * (m * n - ell), den) for t in total]
-
-
-def _twist_candidates(w, n, ell):
-    base = dual_weight(w)
-    out = []
-    for t in range(n):
-        image = base.simple_current(t)
-        if image.color == ell % n and image not in out:
-            out.append(image)
-    return [x for x, ok in zip(out, _congruent([w] * len(out), out, w.n, n, ell)) if ok]
-
-
 def branching_pairs(m, n, level_one_label=0):
     """Partner table of the SU(mn)_1 sector `level_one_label` under SU(m)xSU(n).
 
@@ -130,34 +116,46 @@ def branching_pairs(m, n, level_one_label=0):
         raise ValueError(f"need m, n >= 2, got ({m}, {n})")
     ell = level_one_label % (m * n)
     domain = [w for w in enumerate_weights(m, n) if w.color == ell % m]
+    lab = np.array([w.labels for w in domain]).reshape(-1, m - 1)
+    trans = _transpose(lab, n)
+    ext = np.hstack([m - trans.sum(axis=1, keepdims=True), trans])
+    a, t = np.arange(n), (trans @ np.arange(1, n) % n)[:, None]
+    shift = (m + n) * (a * m * (n - 1) - 2 * a * t - m * a * (a - 1))  # code(J^a v) - code(v)
+    # h(w) + h(J^a v) as a numerator over 2mn(m+n)
+    total = (h_numerators(lab, m) * n + h_numerators(trans, n) * m)[:, None] + shift * m
+    mask = ((t + a * m - ell) % n == 0) & (
+        (total - ell * (m * n - ell) * (m + n)) % (2 * m * n * (m + n)) == 0
+    )
 
-    table = PairingTable(m, n, ell)
+    rows = np.arange(len(domain))
     if ell == 0:
-        images = [transpose_weight(w).simple_current(-(box_count(w) // m)) for w in domain]
-        for w, image, ok in zip(domain, images, _congruent(domain, images, m, n, 0)):
-            if image.color != 0 or not ok:
-                raise PairingError(
-                    f"({m},{n}): canonical partner of {w} fails the congruence"
-                )
-            table.pairs[w] = image
+        twist = -partitions(lab).sum(axis=1) // m % n
+        for i in np.flatnonzero(~mask[rows, twist])[:1]:
+            raise PairingError(
+                f"({m},{n}): canonical partner of {domain[i]} fails the congruence"
+            )
     else:
-        for w in domain:
-            cands = _twist_candidates(w, n, ell)
-            if not cands:
+        orbit = np.full(len(domain), n)
+        for d in range(n - 1, 0, -1):
+            if n % d == 0:
+                orbit[(np.roll(ext, d, axis=1) == ext).all(axis=1)] = d
+        count = mask.sum(axis=1) * orbit // n  # distinct passing twists
+        for i in np.flatnonzero(count != 1)[:1]:
+            if not count[i]:
                 raise PairingError(
-                    f"({m},{n}) sector {ell}: no consistent partner for {w}"
+                    f"({m},{n}) sector {ell}: no consistent partner for {domain[i]}"
                 )
-            if len(cands) > 1:
-                raise PairingError(
-                    f"({m},{n}) sector {ell}: partner of {w} underdetermined "
-                    f"by the congruences ({len(cands)} candidates)"
-                )
-            table.pairs[w] = cands[0]
+            raise PairingError(
+                f"({m},{n}) sector {ell}: partner of {domain[i]} underdetermined "
+                f"by the congruences ({count[i]} candidates)"
+            )
+        twist = mask.argmax(axis=1)
+    rolled = ext[rows[:, None], (a - twist[:, None]) % n][:, 1:]
 
-    images = set(table.pairs.values())
-    if len(images) != len(domain):
+    pairs = {w: AffineWeight(n, m, v) for w, v in zip(domain, rolled.tolist())}
+    if len(set(pairs.values())) != len(domain):
         raise PairingError(f"({m},{n}) sector {ell}: partner map not injective")
-    return table
+    return PairingTable(m, n, ell, pairs)
 
 
 def vacuum_pairing(m, n):

@@ -5,12 +5,14 @@ and fusion multiply componentwise; h mod 1 is a numerator over the lcm of
 the factors' denominators.  The product S-matrix is never built whole:
 `apply_s` contracts factor by factor along the corresponding tensor axis,
 which keeps the 2640-label products cheap and accurate, and `s_block`
-gives the columns of one first-factor label at a time.
+gives the columns of one first-factor label at a time, as a Kronecker
+fold of that factor's S column with the other factors' S.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -108,20 +110,12 @@ class ProductTheory:
     def s_block(self, a):
         """The product-S columns whose first component is factor-0 label `a`.
 
-        A size x (size // shape[0]) array, columns in label order.  It is
-        built by broadcast products ((S1 S2) S3)..., left to right, then one
-        transpose: the same products in the same order as np.kron of the
-        factor columns, so the same bits.  The first-factor axis, the long
-        one, stays innermost while multiplying, so numpy's inner loops run
-        over it rather than over the short axes of the other factors.
+        A size x (size // shape[0]) array, columns in label order: the left
+        Kronecker fold of that factor-0 column with the other factors' S.
         """
         self._require_s()
         first, *rest = self.factors
-        block = first.S[:, first.index[a]]
-        for f in rest:  # axes become (r2, x2, r3, x3, ..., r1)
-            block = block[..., None, None, :] * f.S[..., None]
-        order = [-1, *range(0, block.ndim - 1, 2), *range(1, block.ndim - 1, 2)]
-        return block.transpose(order).reshape(self.size, -1)
+        return reduce(np.kron, [f.S for f in rest], first.S[:, [first.index[a]]])
 
     def s_column(self, label):
         """Column of the product S-matrix at `label`, sliced from its block."""

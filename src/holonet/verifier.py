@@ -7,6 +7,8 @@ The final spectrum is restricted to the WZW base and checked seven ways:
 local systems, an exact mu ledger ending at 1, central charge 24, multiset
 agreement with the bundled reference list, exact integer conformal
 weights, S-invariance of the character vector, and multiplicity-freeness.
+A LocalityError met while closing a local system fails `local-systems`
+with its witness; any other assembly failure fails `construction`.
 """
 
 from dataclasses import dataclass, field
@@ -297,7 +299,8 @@ def verify_entry(entry, tol=S_TOL):
     try:
         cons = build_entry(entry)
     except (LocalityError, ConstructionError) as exc:
-        report.add("construction", False, details=str(exc))
+        failed = "local-systems" if isinstance(exc, LocalityError) else "construction"
+        report.add(failed, False, details=str(exc))
         return report
 
     stage_text = "; ".join(

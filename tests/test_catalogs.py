@@ -200,3 +200,80 @@ def test_automorphism_closure_fails_with_witness(catalogs):
     )
     assert not checks["quadratic-form"].passed
     assert checks["quadratic-form"].details == "needs a closed group"
+
+
+def _raise_term(cat, label, weight):
+    """Give irrep `label` of `cat` one more copy of the base weight `weight`."""
+    ir = copy.copy(cat.irreps[label])
+    ir.restriction = ir.restriction + SectorVector(cat.base, {weight: 1})
+    cat.irreps[label] = ir
+
+
+def _shift_h_code(cat, label):
+    ir = copy.copy(cat.irreps[label])
+    ir.h_code += 1
+    cat.irreps[label] = ir
+
+
+def _extra_mirror_term(cat, monkeypatch, tmp_path):
+    with open(f"{data_dir()}/inclusions.json") as fh:
+        inclusions = json.load(fh)
+    inclusions["su2_10-spin5_1"]["rows"]["1"].append([[2], 1])
+    (tmp_path / "inclusions.json").write_text(json.dumps(inclusions))
+    monkeypatch.setenv("HOLONET_CATALOG_DIR", str(tmp_path))
+
+
+# check -> (break the su10_2 copy, expected witness, expected residual)
+CATALOG_CONTROLS = {
+    "global-dimension": (
+        lambda cat, mp, tmp: setattr(cat, "mu_exact", Fraction(21)),
+        "sum dim^2 = 20, mu = 21", None,
+    ),
+    "index-squared": (
+        lambda cat, mp, tmp: setattr(cat, "mu", 21.0), "index = 4.7320508", 1 / 21,
+    ),
+    "vacuum-restriction": (
+        lambda cat, mp, tmp: _raise_term(cat, "j0", cat.base.vacuum),
+        "spectrum 2*[0,0,0,0,0,0,0,0,0] + [0,0,1,0,0,0,1,0,0]", None,
+    ),
+    "restriction-dimensions": (
+        lambda cat, mp, tmp: _raise_term(cat, "s1", W(10, 2, (1, 0, 0, 1, 0, 0, 0, 0, 0))),
+        "", 0.5,
+    ),
+    "fusion-dimensions": (
+        lambda cat, mp, tmp: cat._fusion.update({("s0", "s2"): {"j0": 2, "j5": 1}}),
+        "", 0.5,
+    ),
+    "quadratic-form": (
+        lambda cat, mp, tmp: _shift_h_code(cat, "j1"),
+        "h(j1^2) = 3/5 != 2^2 h(j1) = 13/20", None,
+    ),
+    "conjugation": (
+        lambda cat, mp, tmp: cat._conj.pop("s1"), "conjugate of s1 missing", None,
+    ),
+    "mirror-mu": (
+        lambda cat, mp, tmp: mp.setattr(
+            "holonet.catalogs.mirror_mu", lambda *args: 2 * mirror_mu(*args)
+        ),
+        "", 1.0,
+    ),
+    "mirror-index": (_extra_mirror_term, "", 3 ** -0.5),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CATALOG_CONTROLS))
+def test_catalog_check_negative_controls(check, catalogs, monkeypatch, tmp_path):
+    """Each named catalog check fails on a su10_2 copy broken for it."""
+    cat = copy.copy(catalogs["su10_2"])
+    cat.irreps, cat._fusion, cat._conj = dict(cat.irreps), dict(cat._fusion), dict(cat._conj)
+    breaker, witness, residual = CATALOG_CONTROLS[check]
+    breaker(cat, monkeypatch, tmp_path)
+    checks = {c.name: c for c in verify_catalog(cat).checks}
+    assert not checks[check].passed
+    assert witness in checks[check].details
+    if residual is None:
+        assert checks[check].residual is None
+    else:
+        assert checks[check].residual == pytest.approx(residual, rel=1e-9)
+    if check == "mirror-index":
+        assert not checks["mirror-spectrum"].passed

@@ -274,13 +274,34 @@ def _break_j1_j2_row(replace):
     return corrupt
 
 
-@pytest.mark.parametrize("replace", [True, False], ids=["row-to-s0", "row-deleted"])
-def test_broken_automorphism_row_fails_closure(tmp_path, replace):
+@pytest.mark.parametrize(
+    "replace, row",
+    [(True, "{'s0': 1}"), (False, "not stored")],
+    ids=["row-to-s0", "row-deleted"],
+)
+def test_broken_automorphism_row_fails_closure(tmp_path, replace, row):
     env = _corrupt_copy(tmp_path, "su10_2.json", _break_j1_j2_row(replace))
-    proc = _cli(env, "catalog", "--name", "su10_2", "--check")
+    proc = _cli(env, "catalog", "--name", "su10_2", "--check", "--format", "text")
     assert proc.returncode == 2, proc.stderr
     assert "fails invariants" in proc.stderr
     assert "automorphism-closure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # --check prints the failing report with its witness
+    assert "== catalog su10_2: FAIL ==" in proc.stdout
+    assert f"j1 x j2 = {row}, not one automorphism" in proc.stdout
+    # without --check only the one-line error is printed
+    proc = _cli(env, "catalog", "--name", "su10_2")
+    assert proc.returncode == 2 and proc.stdout == ""
+
+
+def test_negative_restriction_multiplicity_exits_2(tmp_path):
+    def corrupt(payload):
+        payload["irreps"][-1]["restriction"][0][1] = -1
+
+    env = _corrupt_copy(tmp_path, "su9_3.json", corrupt)
+    proc = _cli(env, "catalog", "--name", "su9_3", "--check")
+    assert proc.returncode == 2, proc.stderr
+    assert "su9_3.json" in proc.stderr and "negative multiplicity -1" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

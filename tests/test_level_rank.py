@@ -242,3 +242,52 @@ def test_weight_couples_into_stated_sector():
     h_sector3 = Fraction(3 * 17, 40)
     assert (total - h_sector3) % 1 == 0
     assert w.color == 3 % 2 and partner.color == 3 % 10
+
+
+def _reference_pairs(m, n, ell):
+    """The sector-ell partner table built weight by weight: the n twists of
+    `dual_weight`, filtered by color and exact conformal-weight congruence,
+    and at ell = 0 the box twist of the transpose, J^(-lambda_0) of the dual."""
+    h_ell = Fraction(ell * (m * n - ell), 2 * m * n)
+    pairs = {}
+    for w in enumerate_weights(m, n):
+        if w.color != ell % m:
+            continue
+        dual, h_w = dual_weight(w), w.conformal_weight()
+
+        def passes(v):
+            return v.color == ell % n and (h_w + v.conformal_weight() - h_ell) % 1 == 0
+
+        if ell == 0:
+            pairs[w] = dual.simple_current(-w.label_zero - box_count(w) // m)
+            if not passes(pairs[w]):
+                raise PairingError(f"({m},{n}): canonical partner of {w} fails the congruence")
+            continue
+        cands = {v for v in map(dual.simple_current, range(n)) if passes(v)}
+        if not cands:
+            raise PairingError(f"({m},{n}) sector {ell}: no consistent partner for {w}")
+        if len(cands) > 1:
+            raise PairingError(
+                f"({m},{n}) sector {ell}: partner of {w} underdetermined "
+                f"by the congruences ({len(cands)} candidates)"
+            )
+        pairs[w] = cands.pop()
+    if len(set(pairs.values())) != len(pairs):
+        raise PairingError(f"({m},{n}) sector {ell}: partner map not injective")
+    return pairs
+
+
+def _pairs_or_message(build):
+    try:
+        return build()
+    except PairingError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("m,n", itertools.product(range(2, 7), repeat=2))
+def test_partner_tables_match_per_weight_reference(m, n):
+    """Every sector of every (m, n) up to 6: the array build gives the
+    reference's pairs, or raises its PairingError message."""
+    for ell in range(m * n):
+        got = _pairs_or_message(lambda: branching_pairs(m, n, ell).pairs)
+        assert got == _pairs_or_message(lambda: _reference_pairs(m, n, ell)), ell

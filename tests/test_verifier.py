@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from holonet import verifier
 from holonet.catalogs import CatalogError
 from holonet.extensions import LocalSystem, find_local_system, simple_current_spectrum
 from holonet.level_one import level_one_datum
@@ -15,6 +16,7 @@ from holonet.modular import SectorVector, sun_datum
 from holonet.products import ProductTheory, tensor_product
 from holonet.reporting import report_emit
 from holonet.verifier import (
+    ENTRY_CONFIGS,
     ConstructionError,
     build_entry,
     perturbation_residuals,
@@ -283,7 +285,7 @@ def test_verifier_reports_failure_on_broken_generator(monkeypatch):
     monkeypatch.setitem(v.ENTRY_CONFIGS, 27, broken)
     report = v.verify_entry(27)
     assert not report.passed
-    assert report.checks[0].name == "construction"
+    assert report.checks[0].name == "local-systems"
     assert "univalence" in report.checks[0].details
 
 
@@ -357,3 +359,49 @@ def test_stage_two_checks_on_patched_theory(monkeypatch, cls, name, patch, witne
     monkeypatch.setattr(cls, name, patch(vars(cls)[name]))
     with pytest.raises(ConstructionError, match=re.escape(witness)):
         build_entry(40)
+
+
+def _patched(owner, name, change):
+    """A step replacing owner.name by change(its current value)."""
+    return lambda mp: mp.setattr(owner, name, change(vars(owner)[name]))
+
+
+def _restricted(change):
+    """A step passing every restriction to the WZW base through `change`."""
+    return _patched(verifier, "restrict_to_base", lambda real: lambda *a: change(real(*a)))
+
+
+# check -> (break entry 27 for it, expected witness)
+VERIFIER_CONTROLS = {
+    "mu-ledger": (
+        _patched(ProductTheory, "mu_exact",
+                 lambda real: property(lambda self: 2 * real.fget(self))),
+        "mu(base) = 9*3*3 = 162; / 9^2 -> 2",
+    ),
+    "central-charge": (
+        _patched(ProductTheory, "c", lambda real: property(lambda self: real.fget(self) + 1)),
+        "c = 25",
+    ),
+    "spectrum-reference": (
+        lambda mp: mp.setitem(ENTRY_CONFIGS[27], "terms", 35),
+        "36 terms",
+    ),
+    "s-invariance": (
+        _restricted(lambda spec: SectorVector(spec.theory, spec.items()[:-1])), "",
+    ),
+    "multiplicities": (
+        _restricted(lambda spec: spec.add(spec.theory.vacuum)), "vacuum multiplicity 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFIER_CONTROLS))
+def test_verifier_check_negative_controls(check, monkeypatch):
+    """Each named verifier check fails on entry 27 broken for it."""
+    breaker, witness = VERIFIER_CONTROLS[check]
+    breaker(monkeypatch)
+    checks = {c.name: c for c in verify_entry(27).checks}
+    assert not checks[check].passed
+    assert checks[check].details == witness
+    if check == "s-invariance":
+        assert checks[check].residual > 1e-3
