@@ -8,7 +8,8 @@ error.  Theory products are written as factor tokens joined by 'x', e.g.
 token loads a bundled catalog; every other token, and the theory that
 modular-data forms from --algebra/--rank/--level, is resolved by
 `level_one.theory_datum`, the one parser of the token grammar.  An SU(n)_k
-whose S would exceed `modular.MAX_S_BYTES` is refused with exit 2.
+whose S would exceed `modular.MAX_S_BYTES`, and a product over
+`products.MAX_PRODUCT_LABELS` labels, are refused with exit 2.
 """
 
 import argparse
@@ -216,6 +217,8 @@ def main_local_system(argv=None):
         ]
     except (ValueError, KeyError, CatalogError) as exc:
         return _fail(exc)
+    if not gens:
+        return _fail("no generators given")
     try:
         system = find_local_system(theory, gens)
     except LocalityError as exc:

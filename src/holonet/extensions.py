@@ -9,12 +9,13 @@ check is an integer congruence mod D on weights of currents and labels,
 with no tolerance; a Fraction is built only for a witness.  Only scalar
 monodromies are supported: the acting label must be a simple current
 (dimension 1), so composition with it is a permutation of the irreducibles,
-and locality is tested against one label at a time.
+and locality is tested against one label at a time.  A local system keeps
+its elements and the invariant factors of the relations met in its closure.
 """
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class LocalSystem:
     theory: object
     elements: list
     generators: list
-    mul: dict
     invariant_factors: list
 
     @property
@@ -82,27 +82,26 @@ class LocalSystem:
     def structure(self):
         return " x ".join(f"Z{d}" for d in self.invariant_factors) or "Z1"
 
-    def product(self, a, b):
-        return self.mul[(a, b)]
-
     def orbit(self, label):
         """Orbit of a theory label under fusion with the group."""
-        seen = []
-        for g in self.elements:
-            image = current_image(self.theory, g, label)
-            if image not in seen:
-                seen.append(image)
-        idx = self.theory.index
-        return sorted(seen, key=idx.__getitem__)
+        images = {current_image(self.theory, g, label) for g in self.elements}
+        return sorted(images, key=self.theory.index.__getitem__)
 
 
 def find_local_system(theory, generators):
     """Close dimension-1 generators into a verified local system.
 
     Checks, exactly: every generator is a simple current with integer
-    conformal weight; every pair of generators (hence of elements) has
-    trivial monodromy; the closure is an abelian group closed under
-    conjugation.  Raises LocalityError naming the witness otherwise.
+    conformal weight; every pair of generators, then every pair of
+    elements, has trivial monodromy; the closure is an abelian group
+    closed under conjugation.  Raises LocalityError naming the witness
+    otherwise.  Every element then has h = 0: each is y = g.x for a
+    generator g, and the pair (g, x) gives h(y) = h(x).
+
+    The closure gives each element its exponent vector in the generators.
+    A step g_i.x that lands on a known element y gives the relation
+    exponents[x] + e_i - exponents[y], and the invariant factors are those
+    of Z^r modulo these relations.
     """
     gens = list(generators)
     if not gens:
@@ -127,80 +126,63 @@ def find_local_system(theory, generators):
                 f"{theory.h_mod1(a)} + {theory.h_mod1(b)} (mod 1)"
             )
 
-    vacuum = theory.vacuum
-    members = {vacuum}
-    frontier = [vacuum]
+    exponents, relations = {theory.vacuum: [0] * len(gens)}, []
+    frontier = [theory.vacuum]
     while frontier:
         x = frontier.pop()
-        for g in gens:
+        for i, g in enumerate(gens):
             y = current_image(theory, g, x)
-            if y not in members:
-                if len(members) >= MAX_GROUP_ORDER:
-                    raise LocalityError("closure exceeds the group-order cap")
-                members.add(y)
+            step = [e + (j == i) for j, e in enumerate(exponents[x])]
+            if y in exponents:
+                relations.append([a - b for a, b in zip(step, exponents[y])])
+            elif len(exponents) >= MAX_GROUP_ORDER:
+                raise LocalityError("closure exceeds the group-order cap")
+            else:
+                exponents[y] = step
                 frontier.append(y)
-    elements = sorted(members, key=theory.index.__getitem__)
+    elements = sorted(exponents, key=theory.index.__getitem__)
 
-    mul = {}
     code = {g: theory.h_code(g) for g in elements}
     for a, b in itertools.product(elements, repeat=2):
         c = current_image(theory, a, b)
-        if c not in members:
+        if c not in exponents:
             raise LocalityError(f"closure not a group: {a!r} x {b!r} escapes")
-        mul[(a, b)] = c
         if (code[c] - code[a] - code[b]) % theory.h_den:
             raise LocalityError(
                 f"elements ({a!r}, {b!r}) have nontrivial monodromy"
             )
     for g in elements:
-        if code[g]:
-            raise LocalityError(f"element {g!r} has h = {theory.h_mod1(g)} != 0")
-        if theory.conj(g) not in members:
+        if theory.conj(g) not in exponents:
             raise LocalityError(f"closure not conjugation-closed at {g!r}")
-
-    factors = _invariant_factors(elements, mul, vacuum)
-    return LocalSystem(theory, elements, gens, mul, factors)
+    return LocalSystem(theory, elements, gens, _invariant_factors(relations))
 
 
-def _order_of(g, mul, identity):
-    n, x = 1, g
-    while x != identity:
-        x = mul[(x, g)]
-        n += 1
-    return n
+def _invariant_factors(relations):
+    """Invariant factors of the finite group Z^r / <relations>, largest first.
 
-
-def _invariant_factors(elements, mul, identity):
-    """Invariant factors d1 >= d2 >= ... (each dividing the previous)."""
-    if len(elements) == 1:
-        return []
-    orders = {g: _order_of(g, mul, identity) for g in elements}
-    exponent = lcm(*orders.values())
-    g = next(x for x in elements if orders[x] == exponent)
-    cyclic = [identity]
-    x = g
-    while x != identity:
-        cyclic.append(x)
-        x = mul[(x, g)]
-    cyclic_set = set(cyclic)
-    # quotient by <g>: partition into cosets with induced multiplication
-    coset_of, reps = {}, []
-    for x in elements:
-        if x in coset_of:
-            continue
-        rep = x
-        members = [mul[(x, c)] for c in cyclic]
-        for y in members:
-            coset_of[y] = rep
-        reps.append(rep)
-    if len(reps) == 1:
-        return [exponent]
-    qmul = {
-        (a, b): coset_of[mul[(a, b)]] for a, b in itertools.product(reps, repeat=2)
-    }
-    qid = coset_of[identity]
-    reps = [qid] + [r for r in reps if r != qid]
-    return [exponent] + _invariant_factors(reps, qmul, qid)
+    Smith reduction: the least nonzero entry is the pivot; row operations,
+    then column operations (row operations on the transpose), reduce its
+    column and row modulo it.  Once both are clear it is a diagonal entry.
+    (gcd, lcm) swaps then make each entry divide the next.
+    """
+    m, d = [list(row) for row in relations], []
+    while any(map(any, m)):
+        _, i, j = min(
+            (abs(v), i, j) for i, row in enumerate(m) for j, v in enumerate(row) if v
+        )
+        for _ in range(2):
+            pivot = m[i]
+            for k, row in enumerate(m):
+                if k != i:
+                    q = row[j] // pivot[j]
+                    row[:] = [a - q * b for a, b in zip(row, pivot)]
+            m, i, j = [list(col) for col in zip(*m)], j, i
+        if sum(map(bool, m[i])) + sum(bool(row[j]) for row in m) == 2:
+            d.append(abs(m[i][j]))
+            m = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+    for a, b in itertools.combinations(range(len(d)), 2):
+        d[a], d[b] = gcd(d[a], d[b]), lcm(d[a], d[b])
+    return [x for x in reversed(d) if x > 1]
 
 
 def simple_current_spectrum(system):

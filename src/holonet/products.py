@@ -17,6 +17,12 @@ from functools import reduce
 import numpy as np
 
 
+# The most labels a product may have; a larger one is refused before they are
+# enumerated.  The verifier's largest has 2,640; 2**18 labels take about 70 MB
+# (about 270 bytes each in `labels` and `index`) and under a second to build.
+MAX_PRODUCT_LABELS = 1 << 18
+
+
 class UnsupportedFusionError(KeyError):
     """Fusion requested outside a catalog's stored table."""
 
@@ -30,9 +36,13 @@ class ProductTheory:
         self.factors = tuple(factors)
         self.name = name or " (x) ".join(f.name for f in factors)
         self.shape = tuple(len(f.labels) for f in factors)
-        self.labels = [
-            combo for combo in itertools.product(*(f.labels for f in factors))
-        ]
+        if math.prod(self.shape) > MAX_PRODUCT_LABELS:
+            raise ValueError(
+                f"a product of {len(factors)} factors has "
+                f"{math.prod(self.shape):,} labels, over the "
+                f"{MAX_PRODUCT_LABELS:,}-label limit"
+            )
+        self.labels = list(itertools.product(*(f.labels for f in factors)))
         self.index = {label: i for i, label in enumerate(self.labels)}
         self.h_den = math.lcm(*(f.h_den for f in self.factors))
 

@@ -213,8 +213,7 @@ def build_entry(entry):
         mu = mu / 4
         ledger.append((f"/ 2^2 -> {mu}", mu))
         # Z2 of intermediate-theory sectors; that theory is never built
-        z2 = abelian_table({"1": (0,), "d1": (1,)}, (2,))
-        systems.append(("stage 2", LocalSystem(None, ["1", "d1"], ["d1"], z2, [2])))
+        systems.append(("stage 2", LocalSystem(None, ["1", "d1"], ["d1"], [2])))
         notes.append(
             "stage 2 extends by the order-2 sector supported on the "
             f"orbit of {twisted}; the twin sector gives the same spectrum"

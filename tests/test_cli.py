@@ -1,10 +1,16 @@
+import contextlib
+import importlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tomllib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonet.catalogs import data_dir
 from holonet.cli import (
@@ -321,3 +327,113 @@ def test_oversized_theory_exits_2(capsys, monkeypatch):
     assert "su12_12 has 1,352,078 labels" in capsys.readouterr().err
     assert main_local_system(["--theory", "su12_12 x su2_1", "--generators", "0"]) == 2
     assert "su12_12 has 1,352,078 labels" in capsys.readouterr().err
+    theory = " x ".join(["su2_1"] * 19)
+    assert main_local_system(["--theory", theory, "--generators", "y1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: a product of 19 factors has 524,288 labels")
+
+
+def test_empty_generator_list_is_a_usage_error(capsys):
+    theory = "cat:su10_2 x su5_1 x spin7_1"
+    for gens in ("", ";", " ; "):
+        assert main_local_system(["--theory", theory, "--generators", gens]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: no generators given\n"
+        assert captured.out == ""
+
+
+def test_console_script_table_resolves():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert set(scripts) == {
+        "modular-data", "level-rank", "local-system", "coupling", "catalog", "verify"
+    }
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), target
+
+
+# -- fuzz: every command at small sizes, garbage mixed in ------------------
+
+_INT = st.sampled_from([str(i) for i in range(-1, 6)] + ["", "x", "2.5"])
+_TOKEN = st.sampled_from(
+    ["su2_1", "su3_1", "su4_1", "spin7_1", "spin8_1", "e6_1", "su2_3", "su3_2",
+     "cat:su10_2", "cat:nope", "su1_2", "spin2_1", "e6_2", "su_2", "", "7"]
+)
+_COMPONENT = st.sampled_from(
+    ["y0", "y1", "y2", "1", "v", "s", "s'", "27", "j1", "0", "2,1", "1,0",
+     "-1", "", ",", "?"]
+)
+_LABEL = st.lists(_COMPONENT, min_size=1, max_size=3).map(":".join)
+
+
+def _optional(flag, values):
+    return st.one_of(st.just([]), _required(flag, values))
+
+
+def _required(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _switch(flag):
+    return st.sampled_from([[], [flag]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [a for p in ps for a in p])
+
+
+_COMMANDS = {
+    main_modular_data: _argv(
+        _optional("--algebra", st.sampled_from(["su", "spin", "e6", "so"])),
+        _optional("--rank", _INT),
+        _required("--level", st.sampled_from(["-1", "0", "1", "2", "3", "x"])),
+        _switch("--with-s"),
+    ),
+    main_level_rank: _argv(
+        _required("--m", _INT),
+        _required("--n", _INT),
+        _optional("--weight", st.one_of(_LABEL, st.just("1,1,1,1"))),
+        _switch("--pairing"),
+        _optional("--sector", st.integers(-2, 6).map(str)),
+    ),
+    main_local_system: _argv(
+        _required("--theory", st.lists(_TOKEN, min_size=1, max_size=3).map(" x ".join)),
+        _required("--generators", st.lists(_LABEL, max_size=3).map(";".join)),
+    ),
+    main_coupling: _argv(
+        _required(
+            "--inclusion",
+            st.sampled_from(["su2_10-spin5_1", "su3_9-e6_1", "su4_8-spin20_1", "x"]),
+        ),
+        _optional("--tolerance", st.sampled_from(["1e-8", "0", "-1", "nan", "x"])),
+        _switch("--with-z"),
+    ),
+    main_catalog: _argv(
+        _required("--name", st.sampled_from(["su10_2", "su9_3", "su8_4", "x", ""])),
+        _switch("--check"),
+        _optional("--format", st.sampled_from(["json", "text", "csv", "x"])),
+    ),
+    main_verify: _argv(
+        _optional("--entry", st.sampled_from(["18", "27", "40", "all", "7", "x"])),
+        _optional("--format", st.sampled_from(["json", "text", "csv", "x"])),
+        _switch("--reproducible"),
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(list(_COMMANDS)).flatmap(
+    lambda main: st.tuples(st.just(main), _COMMANDS[main])
+))
+def test_cli_fuzz_exit_codes(case):
+    main, argv = case
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+        io.StringIO()
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            assert exc.code == 2, (main.__name__, argv)
+            return
+    assert code in (0, 1, 2), (main.__name__, argv)

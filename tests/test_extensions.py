@@ -1,12 +1,16 @@
 import itertools
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from holonet.catalogs import catalog, inclusion_table
 from holonet.extensions import (
     LocalityError,
+    _invariant_factors,
     abelian_table,
     coupling_matrix,
     current_image,
@@ -20,7 +24,7 @@ from holonet.extensions import (
 )
 from holonet.level_one import level_one_datum
 from holonet.modular import SectorVector, sun_datum
-from holonet.products import tensor_product
+from holonet.products import ProductTheory, tensor_product
 from holonet.weights import AffineWeight
 
 W = AffineWeight
@@ -107,7 +111,7 @@ def test_group_order_divides_generator_order_product(
         for g in gens:
             order, x = 1, g
             while x != prod.vacuum:
-                x = system.product(x, g)
+                x = current_image(prod, x, g)
                 order += 1
             product_of_orders *= order
         assert product_of_orders % system.order == 0
@@ -124,7 +128,7 @@ def test_local_system_z2cubed(catalogs, level_one_data):
     system = find_local_system(prod, gens)
     assert system.invariant_factors == [2, 2, 2]
     for a, b in itertools.product(system.elements, repeat=2):
-        assert prod.h_mod1(system.product(a, b)) == (
+        assert prod.h_mod1(current_image(prod, a, b)) == (
             prod.h_mod1(a) + prod.h_mod1(b)
         ) % 1
     conj_closed = {prod.conj(g) for g in system.elements}
@@ -182,7 +186,8 @@ def test_charge_sum_dichotomy(entry40_product, catalogs, level_one_data):
             }
             # q is a homomorphism to Q/Z, exactly
             for g, h in itertools.product(system.elements, repeat=2):
-                assert charges[system.product(g, h)] == (charges[g] + charges[h]) % den
+                gh = current_image(prod, g, h)
+                assert charges[gh] == (charges[g] + charges[h]) % den
             total = sum(np.exp(2j * np.pi * q / den) for q in charges.values())
             expected = system.order if not any(charges.values()) else 0
             assert abs(total - expected) < 1e-9
@@ -350,3 +355,109 @@ def test_closure_stops_at_group_order_cap(entry40_product, monkeypatch):
     monkeypatch.setattr(holonet.extensions, "MAX_GROUP_ORDER", 5)
     with pytest.raises(LocalityError, match="group-order cap"):
         find_local_system(entry40_product, [("j1", "y2", "v")])
+
+
+G3 = ("j3", "y1", "v")  # g^3 for the entry-40 generator g = (j1, y2, v)
+OUTSIDE = ("s0", "y0", "1")  # not in the closure of g
+
+
+@pytest.mark.parametrize(
+    "method,broken,witness",
+    [
+        (
+            "h_code",
+            lambda orig: lambda self, x: 1 if x == G3 else orig(self, x),
+            "elements (('j1', 'y2', 'v'), ('j2', 'y4', '1')) have nontrivial "
+            "monodromy",
+        ),
+        (
+            "conj",
+            lambda orig: lambda self, x: OUTSIDE if x == G3 else orig(self, x),
+            "closure not conjugation-closed at ('j3', 'y1', 'v')",
+        ),
+        (
+            "fuse",
+            lambda orig: lambda self, a, b: (
+                {OUTSIDE: 1} if (a, b) == (G3, ("j5", "y0", "v")) else orig(self, a, b)
+            ),
+            "closure not a group: ('j3', 'y1', 'v') x ('j5', 'y0', 'v') escapes",
+        ),
+    ],
+)
+def test_closure_witness_negative_controls(
+    entry40_product, monkeypatch, method, broken, witness
+):
+    monkeypatch.setattr(
+        ProductTheory, method, broken(getattr(ProductTheory, method))
+    )
+    with pytest.raises(LocalityError, match=f"^{re.escape(witness)}$"):
+        find_local_system(entry40_product, [("j1", "y2", "v")])
+
+
+@pytest.mark.parametrize(
+    "relations,factors",
+    [
+        ([[2, 1], [0, 2]], [4]),
+        ([[4, 0], [0, 6]], [12, 2]),
+        ([[12, 8], [8, 12]], [20, 4]),
+        ([[1]], []),
+    ],
+)
+def test_invariant_factors_of_relations(relations, factors):
+    assert _invariant_factors(relations) == factors
+
+
+def reference_invariant_factors(theory, elements):
+    """Invariant factors rebuilt by brute force from the counts
+    #{x : x^(p^k) = 1}: log_p of the count at p^k less that at p^(k-1) is
+    the number of factors whose p-part is at least p^k."""
+    orders = []
+    for g in elements:
+        x, order = g, 1
+        while x != theory.vacuum:
+            x, order = current_image(theory, g, x), order + 1
+        orders.append(order)
+    exponent, factors = math.lcm(*orders), [1] * len(elements)
+    for p in range(2, exponent + 1):
+        if exponent % p or any(p % q == 0 for q in range(2, p)):
+            continue
+        logs, k = [0], 1
+        while exponent % p**k == 0:
+            logs.append(round(math.log(sum(p**k % n == 0 for n in orders), p)))
+            for i in range(logs[-1] - logs[-2]):
+                factors[i] *= p
+            k += 1
+    return [d for d in factors if d > 1]
+
+
+SMALL_LEVEL_ONE = [
+    "su2_1", "su3_1", "su4_1", "su6_1", "su8_1", "spin7_1", "spin8_1",
+    "spin12_1", "spin16_1", "e6_1",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invariant_factors_match_element_order_counts(data):
+    tokens = data.draw(
+        st.lists(st.sampled_from(SMALL_LEVEL_ONE), min_size=2, max_size=3)
+    )
+    prod = tensor_product(*(level_one_datum(t) for t in tokens))
+    currents = [
+        x
+        for x in prod.labels[1:]
+        if prod.h_code(x) == 0 and is_simple_current(prod, x)
+    ]
+    gens = []
+    for _ in range(data.draw(st.integers(1, 3))):  # each local with the ones before
+        local = [x for x in currents if all(monodromy_trivial(prod, g, x) for g in gens)]
+        assume(local)
+        gens.append(data.draw(st.sampled_from(local)))
+    try:
+        system = find_local_system(prod, gens)
+    except LocalityError:
+        assume(False)
+    assert system.invariant_factors == reference_invariant_factors(
+        prod, system.elements
+    )
+    assert math.prod(system.invariant_factors) == system.order

@@ -1,11 +1,18 @@
+from fractions import Fraction
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from holonet.catalogs import catalog
 from holonet.level_one import level_one_datum, spin_level_one, su_level_one
 from holonet.modular import SectorVector, sun_datum
-from holonet.products import ProductTheory, UnsupportedFusionError, tensor_product
+from holonet.products import (
+    MAX_PRODUCT_LABELS,
+    ProductTheory,
+    UnsupportedFusionError,
+    tensor_product,
+)
 
 
 def small_product():
@@ -143,3 +150,26 @@ def test_sector_vector_over_product():
     vec = SectorVector(prod, {("y1", "y1"): 2})
     assert vec.as_vector().sum() == 2
     assert vec.conjugate().mult == {("y1", "y2"): 2}
+
+
+class _CountOnly:
+    """Two labels that may be counted but not enumerated."""
+
+    def __len__(self):
+        return 2
+
+    def __iter__(self):
+        raise AssertionError("factor labels enumerated")
+
+
+def test_product_label_count_is_bounded_before_enumeration():
+    assert 2**18 <= MAX_PRODUCT_LABELS < 2**19
+    factor = SimpleNamespace(name="su2_1", labels=_CountOnly())
+    with pytest.raises(ValueError) as err:
+        ProductTheory([factor] * 19)
+    assert str(err.value) == (
+        "a product of 19 factors has 524,288 labels, over the "
+        f"{MAX_PRODUCT_LABELS:,}-label limit"
+    )
+    with pytest.raises(ValueError, match="524,288 labels"):
+        tensor_product(*[su_level_one(2)] * 19)
