@@ -93,14 +93,13 @@ class CatalogIrrep:
 class ExtensionCatalog:
     """Data-level representation theory of one finite-index extension."""
 
-    def __init__(self, name, base, mu, index_sq, irreps, fusion_rows, h_den):
+    def __init__(self, name, base, mu, irreps, fusion_rows, h_den):
         self.key = name
         self.h_den = h_den
         self.name = f"ext({name})"
         self.base = base
         self.mu_exact = Fraction(mu)
         self.mu = float(self.mu_exact)
-        self.index_sq = float(index_sq)
         self.irreps = {ir.label: ir for ir in irreps}
         self.labels = [ir.label for ir in irreps]
         self.index = {label: i for i, label in enumerate(self.labels)}
@@ -211,8 +210,7 @@ def _parse_catalog(payload):
         for rec, h in zip(payload["irreps"], hs)
     ]
     return ExtensionCatalog(
-        payload["name"], base, payload["mu"], payload["index_sq"],
-        irreps, payload["fusion"], den,
+        payload["name"], base, payload["mu"], irreps, payload["fusion"], den
     )
 
 

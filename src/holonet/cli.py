@@ -260,7 +260,6 @@ def main_coupling(argv=None):
         required=True,
         help="su2_10-spin5_1 | su3_9-e6_1 | su4_8-spin20_1",
     )
-    parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--with-z", action="store_true", help="include Z entries")
     parser.add_argument("--out")
     args = parser.parse_args(argv)
@@ -268,7 +267,7 @@ def main_coupling(argv=None):
         table = inclusion_table(args.inclusion)
     except CatalogError as exc:
         return _fail(exc)
-    report = verify_coupling(table, tol=args.tolerance)
+    report = verify_coupling(table)
     payload = json.loads(report_emit(report, "json", reproducible=True))
     if args.with_z:
         payload["Z"] = coupling_matrix(table).tolist()
@@ -330,7 +329,6 @@ def main_verify(argv=None):
         description="Verify the holomorphic constructions (entries 18, 27, 40).",
     )
     parser.add_argument("--entry", default="all", help="18 | 27 | 40 | all")
-    parser.add_argument("--tolerance", type=float, default=1e-8)
     parser.add_argument("--format", default="text", choices=["json", "text", "csv"])
     parser.add_argument(
         "--reproducible",
@@ -341,9 +339,9 @@ def main_verify(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.entry == "all":
-            reports = verify_all(tol=args.tolerance)
+            reports = verify_all()
         else:
-            reports = [verify_entry(int(args.entry), tol=args.tolerance)]
+            reports = [verify_entry(int(args.entry))]
     except (CatalogError, ValueError) as exc:
         return _fail(exc)
     payload = reports if args.entry == "all" else reports[0]

@@ -23,6 +23,7 @@ from .modular import SectorVector
 from .reporting import VerificationReport
 
 MAX_GROUP_ORDER = 4096
+COUPLING_TOL = 1e-8  # the commutators of Z with S and T
 
 
 class LocalityError(RuntimeError):
@@ -214,7 +215,7 @@ def coupling_matrix(branching):
     return (b.T @ b).astype(int)
 
 
-def verify_coupling(branching, tol=1e-8):
+def verify_coupling(branching):
     """Commutation of Z with the base S and T plus exact h congruences."""
     report = VerificationReport(subject=f"coupling {branching.name}")
     base, ambient = branching.base, branching.ambient
@@ -239,10 +240,10 @@ def verify_coupling(branching, tol=1e-8):
 
     s = base.S
     rs = np.abs(z @ s - s @ z).max()
-    report.add("commutes-with-s", rs < tol, residual=float(rs))
+    report.add("commutes-with-s", rs < COUPLING_TOL, residual=float(rs))
     t = base.t_diagonal()
     rt = np.abs(z * t[None, :] - t[:, None] * z).max()
-    report.add("commutes-with-t", rt < tol, residual=float(rt))
+    report.add("commutes-with-t", rt < COUPLING_TOL, residual=float(rt))
     return report
 
 

@@ -1,8 +1,8 @@
 """Level-rank duality between SU(m) at level n and SU(n) at level m.
 
-`dual_weight` is the combinatorial bijection built from complementary
-decreasing sequences in {1, ..., m+n} ("complementary slicing of the pie");
-`transpose_weight` is the Young-diagram transpose, a current twist of it.
+`transpose_weight` is the Young-diagram transpose, and `dual_weight` the
+level-rank dual: that transpose twisted by the simple current J^(lambda_0),
+lambda_0 the affine label of the weight.
 
 `branching_pairs` assembles, for one level-1 label ell of SU(mn), the table
 of partner weights inside that SU(mn)_1 sector, on label arrays.  A partner
@@ -44,22 +44,8 @@ class PairingError(RuntimeError):
 
 
 def dual_weight(w):
-    """The level-rank dual of an SU(m) level-n weight, in SU(n) level m.
-
-    Shifted labels k_i = extended_i + 1 sum to m+n; their suffix sums give a
-    decreasing sequence r in {1, ..., m+n}; the complementary decreasing
-    sequence rbar yields s_j = m + n + rbar_n - rbar_{n-j+1}, and successive
-    differences minus one are the dual Dynkin labels.
-    """
-    m, n = w.n, w.k
-    total = m + n
-    kk = [a + 1 for a in w.extended]
-    r = [sum(kk[j:m]) + kk[0] for j in range(1, m + 1)]
-    taken = set(r)
-    rbar = [x for x in range(total, 0, -1) if x not in taken]
-    s = [total + rbar[n - 1] - rbar[n - j] for j in range(1, n + 1)]
-    labels = tuple(s[j - 1] - s[j] - 1 for j in range(1, n))
-    return AffineWeight(n, m, labels)
+    """The level-rank dual of an SU(m) level-n weight, in SU(n) level m."""
+    return transpose_weight(w).simple_current(w.label_zero)
 
 
 def transpose_weight(w):
@@ -100,9 +86,6 @@ class PairingTable:
     @property
     def domain(self):
         return sorted(self.pairs)
-
-    def __len__(self):
-        return len(self.pairs)
 
 
 def branching_pairs(m, n, level_one_label=0):

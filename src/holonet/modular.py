@@ -324,7 +324,7 @@ class ModularDatum:
 
     # -- validation --------------------------------------------------------
 
-    def validate(self, tol=UNITARITY_TOL, modular_tol=MODULAR_TOL):
+    def validate(self):
         """Check that S, T, C and J are modular data; store and return residuals.
 
         Exact checks come first: h(vacuum) = 0, C is an involution that
@@ -362,7 +362,7 @@ class ModularDatum:
                             since (ST)^3 - S^2 = T^-1 D T - D + P T S T
 
         With J the identity, R = N and L = 1.  `modular_relation` is held
-        to `modular_tol`, every other residual to `tol`.
+        to MODULAR_TOL, every other residual to UNITARITY_TOL.
         """
         S, conj, cur, h = self.S, self.conj_perm, self.current_perm, self.h
         size = self.size
@@ -371,7 +371,7 @@ class ModularDatum:
             raise NumericalIntegrityError(
                 f"{self.name}: vacuum weight {self.h_exact(self.vacuum)} != 0"
             )
-        if not (S[0].real > 0).all() or np.abs(S[0].imag).max() > tol:
+        if not (S[0].real > 0).all() or np.abs(S[0].imag).max() > UNITARITY_TOL:
             raise NumericalIntegrityError(f"{self.name}: vacuum row not positive")
         if not np.array_equal(conj[conj], identity) or not np.array_equal(h[conj], h):
             raise NumericalIntegrityError(
@@ -414,7 +414,7 @@ class ModularDatum:
         r["modular_relation"] = 2 * r["s_squared"] + root * p_bound
         self.residuals = r
         for key, value in r.items():
-            limit = modular_tol if key == "modular_relation" else tol
+            limit = MODULAR_TOL if key == "modular_relation" else UNITARITY_TOL
             if not value <= limit:
                 raise NumericalIntegrityError(
                     f"{self.name}: {key} residual {value:.3g} > {limit}"

@@ -30,11 +30,11 @@ class UnsupportedFusionError(KeyError):
 class ProductTheory:
     """Tensor product of modular data and/or extension catalogs."""
 
-    def __init__(self, factors, name=None):
+    def __init__(self, factors):
         if len(factors) < 2:
             raise ValueError("a tensor product needs at least 2 factors")
         self.factors = tuple(factors)
-        self.name = name or " (x) ".join(f.name for f in factors)
+        self.name = " (x) ".join(f.name for f in factors)
         self.shape = tuple(len(f.labels) for f in factors)
         if math.prod(self.shape) > MAX_PRODUCT_LABELS:
             raise ValueError(
@@ -141,6 +141,6 @@ def _exact(parts, combine):
     return None if any(p is None for p in parts) else combine(parts)
 
 
-def tensor_product(*factors, name=None):
+def tensor_product(*factors):
     """Tensor product of two or more theories."""
-    return ProductTheory(factors, name=name)
+    return ProductTheory(factors)

@@ -291,7 +291,7 @@ def perturbation_residuals(construction):
     return float(worst)
 
 
-def verify_entry(entry, tol=S_TOL):
+def verify_entry(entry):
     """Run the seven named checks for one entry."""
     report = VerificationReport(subject=f"entry-{int(entry)}")
     cfg = _entry_config(entry)
@@ -340,7 +340,7 @@ def verify_entry(entry, tol=S_TOL):
     )
 
     residual = s_invariance_residual(cons.wzw_product, cons.spectrum)
-    report.add("s-invariance", residual < tol, residual=residual)
+    report.add("s-invariance", residual < S_TOL, residual=residual)
 
     mults = set(cons.spectrum.mult.values())
     vac_mult = cons.spectrum.mult.get(cons.wzw_product.vacuum, 0)
@@ -354,5 +354,5 @@ def verify_entry(entry, tol=S_TOL):
     return report
 
 
-def verify_all(tol=S_TOL):
-    return [verify_entry(e, tol=tol) for e in sorted(ENTRY_CONFIGS)]
+def verify_all():
+    return [verify_entry(e) for e in sorted(ENTRY_CONFIGS)]

@@ -165,53 +165,32 @@ def test_console_scripts_exist(command, args):
 
 
 def test_catalog_dir_override(tmp_path):
-    for fname in os.listdir(data_dir()):
-        shutil.copy(os.path.join(data_dir(), fname), tmp_path / fname)
-    env = dict(os.environ, HOLONET_CATALOG_DIR=str(tmp_path))
-    proc = subprocess.run(
-        [sys.executable, "-m", "holonet.cli", "verify", "--entry", "27",
-         "--format", "json", "--reproducible"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env = _corrupt_copy(tmp_path, "su9_3.json", lambda payload: None)  # intact
+    proc = _cli(env, "verify", "--entry", "27", "--format", "json", "--reproducible")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["overall"] == "pass"
     # a corrupted override directory is a data error (exit 2)
-    broken = json.loads((tmp_path / "su9_3.json").read_text())
-    broken["mu"] = "10"
-    (tmp_path / "su9_3.json").write_text(json.dumps(broken))
-    proc = subprocess.run(
-        [sys.executable, "-m", "holonet.cli", "catalog", "--name", "su9_3"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    env = _corrupt_copy(tmp_path, "su9_3.json", lambda payload: payload.update(mu="10"))
+    proc = _cli(env, "catalog", "--name", "su9_3")
     assert proc.returncode == 2
     assert "fails invariants" in proc.stderr
 
 
 def test_untransportable_vacuum_row_exits_2(tmp_path):
-    for fname in os.listdir(data_dir()):
-        shutil.copy(os.path.join(data_dir(), fname), tmp_path / fname)
-    inclusions = json.loads((tmp_path / "inclusions.json").read_text())
-    inclusions["su3_9-e6_1"]["rows"]["1"].pop()  # conjugation symmetry lost
-    (tmp_path / "inclusions.json").write_text(json.dumps(inclusions))
-    proc = subprocess.run(
-        [sys.executable, "-m", "holonet.cli", "catalog", "--name", "su9_3"],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, HOLONET_CATALOG_DIR=str(tmp_path)),
-    )
+    def corrupt(payload):
+        payload["su3_9-e6_1"]["rows"]["1"].pop()  # conjugation symmetry lost
+
+    env = _corrupt_copy(tmp_path, "inclusions.json", corrupt)
+    proc = _cli(env, "catalog", "--name", "su9_3")
     assert proc.returncode == 2, proc.stderr
     assert "mirror-spectrum" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
 def _corrupt_copy(tmp_path, fname, corrupt):
-    """Copy the bundled data to tmp_path and apply `corrupt` to one file."""
-    for name in os.listdir(data_dir()):
-        shutil.copy(os.path.join(data_dir(), name), tmp_path / name)
+    """Copy the bundled JSON data to tmp_path and apply `corrupt` to one file."""
+    for path in Path(data_dir()).glob("*.json"):
+        shutil.copy(path, tmp_path / path.name)
     payload = json.loads((tmp_path / fname).read_text())
     corrupt(payload)
     (tmp_path / fname).write_text(json.dumps(payload))
@@ -331,6 +310,24 @@ def test_oversized_theory_exits_2(capsys, monkeypatch):
     assert main_local_system(["--theory", theory, "--generators", "y1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: a product of 19 factors has 524,288 labels")
+
+
+@pytest.mark.parametrize(
+    "main, argv",
+    [
+        (main_verify, ["--entry", "18", "--tolerance", "-1", "--reproducible"]),
+        (main_coupling, ["--inclusion", "su2_10-spin5_1", "--tolerance", "nan"]),
+    ],
+    ids=["verify", "coupling"],
+)
+def test_tolerance_is_not_an_option(main, argv, capsys):
+    """The check bounds are fixed constants: a --tolerance is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --tolerance" in captured.err
+    assert captured.out == ""
 
 
 def test_empty_generator_list_is_a_usage_error(capsys):

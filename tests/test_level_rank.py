@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonet.level_rank import (
     PairingError,
@@ -13,15 +14,39 @@ from holonet.level_rank import (
     vacuum_pairing,
 )
 from holonet.modular import sun_datum
-from holonet.weights import AffineWeight, enumerate_weights
+from holonet.weights import AffineWeight, enumerate_weights, weight_count
 
 W = AffineWeight
 
 
+def _pie_dual(w):
+    """The level-rank dual by complementary slicing of the pie.
+
+    Shifted labels k_i = extended_i + 1 sum to m+n; their suffix sums give a
+    decreasing sequence r in {1, ..., m+n}; the complementary decreasing
+    sequence rbar yields s_j = m + n + rbar_n - rbar_{n-j+1}, and successive
+    differences minus one are the dual Dynkin labels.
+    """
+    m, n = w.n, w.k
+    total = m + n
+    kk = [a + 1 for a in w.extended]
+    r = [sum(kk[j:m]) + kk[0] for j in range(1, m + 1)]
+    rbar = [x for x in range(total, 0, -1) if x not in set(r)]
+    s = [total + rbar[n - 1] - rbar[n - j] for j in range(1, n + 1)]
+    return W(n, m, tuple(s[j - 1] - s[j] - 1 for j in range(1, n)))
+
+
 def test_dual_weight_hand_run():
     # k = (4,1), r = (5,4), rbar = (3,2,1), s = (5,4,3), labels (0,0)
+    assert _pie_dual(W(2, 3, (0,))) == W(3, 2, (0, 0))
     assert dual_weight(W(2, 3, (0,))) == W(3, 2, (0, 0))
     assert dual_weight(W(2, 10, (6,))) == W(10, 2, (0, 0, 0, 1, 0, 0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("m,n", itertools.product(range(2, 7), repeat=2))
+def test_dual_weight_matches_pie_slicing(m, n):
+    for w in enumerate_weights(m, n):
+        assert dual_weight(w) == _pie_dual(w), w
 
 
 def test_dual_weight_near_injective():
@@ -119,6 +144,17 @@ def test_pairing_invariants(m, n):
         total = w.conformal_weight() + v.conformal_weight()
         assert total % 1 == 0 and total >= 0
         assert table.partner(w.conjugate()) == v.conjugate()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(st.integers(2, 12), st.integers(2, 12)).filter(
+    lambda mn: max(weight_count(*mn), weight_count(*mn[::-1])) <= 2000
+))
+def test_vacuum_pairing_is_a_bijection_onto_color_zero(mn):
+    m, n = mn
+    pairs = vacuum_pairing(m, n).pairs
+    assert sorted(pairs) == sorted(exp_set(m, n))
+    assert sorted(pairs.values()) == sorted(exp_set(n, m))
 
 
 @pytest.mark.parametrize("m,n", [(3, 9), (4, 8)])
@@ -246,14 +282,15 @@ def test_weight_couples_into_stated_sector():
 
 def _reference_pairs(m, n, ell):
     """The sector-ell partner table built weight by weight: the n twists of
-    `dual_weight`, filtered by color and exact conformal-weight congruence,
-    and at ell = 0 the box twist of the transpose, J^(-lambda_0) of the dual."""
+    the pie-slicing dual, filtered by color and exact conformal-weight
+    congruence, and at ell = 0 the box twist of the transpose, J^(-lambda_0)
+    of the dual."""
     h_ell = Fraction(ell * (m * n - ell), 2 * m * n)
     pairs = {}
     for w in enumerate_weights(m, n):
         if w.color != ell % m:
             continue
-        dual, h_w = dual_weight(w), w.conformal_weight()
+        dual, h_w = _pie_dual(w), w.conformal_weight()
 
         def passes(v):
             return v.color == ell % n and (h_w + v.conformal_weight() - h_ell) % 1 == 0

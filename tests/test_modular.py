@@ -292,6 +292,26 @@ def test_orbit_s_matrix_matches_all_pairs_reference(n):
 SMALL_THEORIES = [(n, k) for n in range(2, 9) for k in levels_up_to(n, 300)]
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_THEORIES), st.integers(0, 299), st.integers(0, 299),
+       st.integers(0, 299))
+def test_verlinde_fusion_ring_axioms(pair, i, j, k):
+    """Verlinde fusion over small SU(n)_k: integer, nonnegative, symmetric
+    (also N_ab^c = N_{a cbar}^{bbar}), the vacuum is the unit, and the
+    dimensions are a character of the ring."""
+    datum = sun_datum(*pair)
+    a, b, c = (datum.labels[x % datum.size] for x in (i, j, k))
+    coeffs = datum.fusion_coeffs(a, b)
+    assert coeffs.dtype.kind == "i" and coeffs.min() >= 0
+    assert np.array_equal(coeffs, datum.fusion_coeffs(b, a))
+    cbar_row = datum.fusion_coeffs(a, datum.conj(c))
+    assert coeffs[datum.index[c]] == cbar_row[datum.index[datum.conj(b)]]
+    unit = datum.fusion_coeffs(datum.vacuum, a)
+    assert unit[datum.index[a]] == 1 and unit.sum() == 1
+    total = float(coeffs @ datum.d)
+    assert abs(total - datum.dim(a) * datum.dim(b)) <= 1e-9 * total
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(SMALL_THEORIES))
 def test_simple_current_phase_law(pair):
