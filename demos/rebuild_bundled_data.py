@@ -21,7 +21,6 @@ from pathlib import Path
 
 from holonet.extensions import abelian_table
 from holonet.level_rank import vacuum_pairing
-from holonet.modular import sun_datum
 from holonet.weights import AffineWeight
 
 
@@ -109,7 +108,6 @@ def build_su10_2():
         "name": "su10_2",
         "base": {"rank": 10, "level": 2},
         "mu": "20",
-        "index_sq": float(sun_datum(10, 2).mu / 20.0),
         "irreps": irreps,
         "fusion": fusion,
     }
@@ -139,7 +137,6 @@ def build_su9_3():
         "name": "su9_3",
         "base": {"rank": 9, "level": 3},
         "mu": "9",
-        "index_sq": float(sun_datum(9, 3).mu / 9.0),
         "irreps": irreps,
         "fusion": group_rows(coords, [3, 3]),
     }
@@ -175,7 +172,6 @@ def build_su8_4():
         "name": "su8_4",
         "base": {"rank": 8, "level": 4},
         "mu": "8",
-        "index_sq": float(sun_datum(8, 4).mu / 8.0),
         "irreps": irreps,
         "fusion": group_rows(coords, [2, 2, 2]),
     }

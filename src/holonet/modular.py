@@ -15,9 +15,9 @@ is formed.  `ModularDatum.validate` checks the symmetry, the conjugation
 and the phase law of J on every entry, one band of rows at a time with no
 N x N temporary, and the products S^2 and STS on the columns of the orbit
 representatives only; the phase law carries that check to every other
-column.  The normalization constant is not taken from a closed form: its
-modulus is fixed by unitarity and its phase by positivity of the vacuum
-row.
+column.  The normalization is no closed form: unitarity fixes its modulus
+and the positive vacuum row its phase.  |S|^2 is summed in einsum's own
+8,192-entry slices, so S keeps einsum's bits, with no second N x N array.
 """
 
 from fractions import Fraction
@@ -41,7 +41,7 @@ FUSION_TOL = 1e-6
 # for every pair the verifier asks of its theories, while a long stream of
 # user queries on a large theory holds memory flat instead of growing with it.
 FUSION_CACHE_SIZE = 1024
-# Bytes of complex S that sun_datum may build: 1 GiB, at most 8,192 labels.
+# S bytes sun_datum may build: 1 GiB, 8,192 labels; peak ~1.4 x S at SU(8)_5.
 MAX_S_BYTES = 1 << 30
 
 
@@ -69,6 +69,13 @@ def _shifted_coordinates(lab):
 def _bands(size):
     """Slices of 64 rows that cover range(size): a band of S stays in cache."""
     return [slice(lo, lo + 64) for lo in range(0, size, 64)]
+
+
+def _norm_sq(a):
+    """Sum of |a|^2: the bits of einsum("ij,ij->", a, a.conj()), not its copy of a."""
+    # einsum sums in buffers of 8,192 entries, in order; so do these slices
+    parts = np.split(a.reshape(-1), range(8192, a.size, 8192))
+    return sum(np.einsum("i,i->", p, p.conj()).real for p in parts)
 
 
 def s_matrix(n, k, lab=None):
@@ -99,11 +106,12 @@ def s_matrix(n, k, lab=None):
     only through its key (a, color(r)), so a table of one phase row per
     key (at most n^2 of them) serves every row; S is filled one band of
     rows at a time, the orbit block taken along rows and columns, then
-    multiplied by the phase row of each key.  The matrix is then globally
-    rescaled to a unitary matrix with positive vacuum row.  All phase
-    arguments are reduced in integer arithmetic (mod kappa, n*kappa and n)
-    before exponentiation, so every entry is an exact sum of roots of unity
-    up to double rounding.
+    multiplied by the phase row of each key.  S is then rescaled to be
+    unitary with a positive vacuum row; `_norm_sq` sums |S|^2 for that
+    without a conjugate copy of S, in einsum's slices so as to keep its
+    bits.  All phase arguments are reduced in integer arithmetic (mod
+    kappa, n*kappa and n) before exponentiation, so every entry is an
+    exact sum of roots of unity up to double rounding.
     """
     if lab is None:
         lab = np.array([w.labels for w in enumerate_weights(n, k)], dtype=np.int64)
@@ -141,7 +149,7 @@ def s_matrix(n, k, lab=None):
         # orbit is in range; mode="clip" writes to `out` without a buffer
         np.take(block[orbit[band]], orbit, axis=1, out=out, mode="clip")
         out *= phase[key_of[band]]
-    scale = np.sqrt(np.einsum("ij,ij->", raw, raw.conj()).real / big)
+    scale = np.sqrt(_norm_sq(raw) / big)
     raw /= scale
     z = raw[0, 0]
     raw *= z.conjugate() / abs(z)
@@ -400,8 +408,10 @@ class ModularDatum:
         block = S @ cols
         block[conj[reps], np.arange(len(reps))] -= 1
         d_max = np.abs(block).max()
-        block = S @ (t[:, None] * cols)
-        block -= cols / t[:, None] / t[reps]
+        np.matmul(S, t[:, None] * cols, out=block)
+        cols /= t[:, None]
+        cols /= t[reps]
+        block -= cols
         p_max = np.abs(block).max()
 
         u = np.finfo(float).eps / 2

@@ -157,10 +157,14 @@ def test_verify_cli_reproducible_bytes(tmp_path):
 )
 def test_console_scripts_exist(command, args):
     exe = shutil.which(command)
-    if exe is None:
-        pytest.skip(f"{command} not on PATH")
-    proc = subprocess.run([exe, *args], capture_output=True, text=True)
-    assert proc.returncode == 0
+    if exe is not None:
+        argv = [exe, *args]
+    else:  # not installed: call the entry point as the generated script would
+        module, _, attr = _console_scripts()[command].partition(":")
+        call = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+        argv = [sys.executable, "-c", call, *args]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
     json.loads(proc.stdout)
 
 
@@ -339,14 +343,20 @@ def test_empty_generator_list_is_a_usage_error(capsys):
         assert captured.out == ""
 
 
-def test_console_script_table_resolves():
+def _console_scripts():
+    """The [project.scripts] table of pyproject.toml: command -> "module:function"."""
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
-    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    return tomllib.loads(pyproject.read_text())["project"]["scripts"]
+
+
+def test_console_script_table_resolves():
+    scripts = _console_scripts()
     assert set(scripts) == {
         "modular-data", "level-rank", "local-system", "coupling", "catalog", "verify"
     }
     for target in scripts.values():
         module, _, attr = target.partition(":")
+        assert module == "holonet.cli", target
         assert callable(getattr(importlib.import_module(module), attr)), target
 
 

@@ -356,6 +356,8 @@ def reference_orbit_s_matrix(n, k):
     The determinant entries come from an outer product of shifted
     coordinates reduced mod kappa, and the phase of entry (x, y) from the
     N x N integer array turn = a(x) color(y) + color(r(x)) b(y) mod n.
+    The scale comes from one einsum over the whole matrix
+    (`whole_matrix_norm_sq`), not from the slices of `modular._norm_sq`.
     """
     ws = enumerate_weights(n, k)
     lab = np.array([w.labels for w in ws], dtype=np.int64)
@@ -379,11 +381,15 @@ def reference_orbit_s_matrix(n, k):
     turn = (power[:, None] * color[None, :] + color[rep][:, None] * power[None, :]) % n
     raw = block[orbit[:, None], orbit[None, :]]
     raw *= np.exp(2j * np.pi * np.arange(n) / n)[turn]
-    scale = np.sqrt(np.einsum("ij,ij->", raw, raw.conj()).real / big)
-    raw /= scale
+    raw /= np.sqrt(whole_matrix_norm_sq(raw) / big)
     z = raw[0, 0]
     raw *= z.conjugate() / abs(z)
     return raw, jtab[1]
+
+
+def whole_matrix_norm_sq(raw):
+    """Reference: the sum of |S|^2 from one einsum over S and its conjugate copy."""
+    return np.einsum("ij,ij->", raw, raw.conj()).real
 
 
 def assert_same_s_bits(n, k):
@@ -405,17 +411,37 @@ def test_s_matrix_bits_match_index_array_reference_at_scale(pair):
     assert_same_s_bits(*pair)
 
 
-def test_s_matrix_memory_is_bounded():
-    lab = np.array([w.labels for w in enumerate_weights(8, 5)], dtype=np.int64)
+@pytest.mark.parametrize("size", [50, 90, 91, 128, 792])
+def test_sliced_norm_matches_whole_matrix_einsum(size):
+    # below one 8,192-entry slice, a multiple of it, and sizes with a remainder
+    rng = np.random.default_rng(size)
+    raw = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    assert modular._norm_sq(raw) == whole_matrix_norm_sq(raw)
+
+
+def traced_peak(call):
+    """The result of call() and the peak of traced memory above the start."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        S, _ = s_matrix(8, 5, lab)
+        out = call()
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # S and the conjugate copy its normalization reads, and no N x N index array
-    assert peak <= 2.5 * S.nbytes
+    return out, peak
+
+
+def test_s_matrix_memory_is_bounded():
+    for n, k in [(8, 5), (6, 6)]:
+        lab = np.array([w.labels for w in enumerate_weights(n, k)], dtype=np.int64)
+        (S, _), peak = traced_peak(lambda: s_matrix(n, k, lab))
+        # S and buffers: no conjugate copy for the norm, no N x N index array
+        assert peak <= 1.5 * S.nbytes, (n, k)
+
+
+def test_sun_datum_build_memory_is_bounded():
+    datum, peak = traced_peak(lambda: sun_datum.__wrapped__(8, 5))  # uncached
+    assert peak <= 1.5 * datum.S.nbytes
 
 
 def test_one_determinant_per_pair_of_orbits(monkeypatch):
@@ -516,6 +542,13 @@ def test_validate_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= datum.S.nbytes
+
+
+def test_validate_orbit_products_reuse_their_buffers():
+    datum = sun_datum(8, 5)
+    _, peak = traced_peak(datum.validate)
+    # N x R blocks (R = 99 orbits): the columns, one product, one temporary
+    assert peak <= 0.45 * datum.S.nbytes
 
 
 def whole_matrix_residuals(S, cur, conj, t):
